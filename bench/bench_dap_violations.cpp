@@ -177,9 +177,8 @@ int main() {
     return std::make_unique<lock::Tl<sim::SimPlatform>>(
         8, lock::TlOptions{8});
   });
-  run_all<lock::Tl2<sim::SimPlatform>>("tl2", [] {
-    return std::make_unique<lock::Tl2<sim::SimPlatform>>(8);
-  });
+  using SimTl2 = lock::Tl2<core::BoxedSlots<sim::SimPlatform>>;
+  run_all<SimTl2>("tl2", [] { return std::make_unique<SimTl2>(8); });
   run_all<lock::Coarse<sim::SimPlatform>>("coarse", [] {
     return std::make_unique<lock::Coarse<sim::SimPlatform>>(8);
   });

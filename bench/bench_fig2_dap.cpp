@@ -141,7 +141,7 @@ int main() {
     print("tl (2PL)", o);
   }
   {
-    lock::Tl2<sim::SimPlatform> tm(4);
+    lock::Tl2<core::BoxedSlots<sim::SimPlatform>> tm(4);
     const Outcome o = run_figure2(tm);
     print("tl2 (clock)", o);
   }

@@ -18,7 +18,9 @@ int main(int argc, char** argv) {
   const int threads = argc > 2 ? std::atoi(argv[2]) : 8;
   constexpr int kRounds = 1000;
 
-  auto tm = oftm::workload::make_tm(backend, static_cast<std::size_t>(kRounds));
+  auto tm = oftm::workload::make_tm_for_containers_cli(
+      backend, static_cast<std::size_t>(kRounds));
+  if (!tm) return 2;  // unknown recipe; the factory printed the list
 
   std::vector<std::uint64_t> elected(static_cast<std::size_t>(kRounds), 0);
   std::vector<std::uint64_t> wins(static_cast<std::size_t>(threads), 0);

@@ -23,8 +23,10 @@ int main(int argc, char** argv) {
   constexpr oftm::core::Value kInitial = 1000;
   constexpr int kTransfersPerThread = 20000;
 
-  // 1. Create a TM instance with a fixed t-variable space.
-  auto tm = oftm::workload::make_tm(backend, kAccounts);
+  // 1. Create a TM instance with a fixed t-variable space. An unknown
+  //    recipe prints the recipe list and exits 2.
+  auto tm = oftm::workload::make_tm_for_containers_cli(backend, kAccounts);
+  if (!tm) return 2;
 
   // 2. Seed the accounts in one transaction.
   oftm::core::atomically(*tm, [&](oftm::core::TxView& tx) {

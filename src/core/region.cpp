@@ -1,5 +1,6 @@
 #include "core/region.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <mutex>
@@ -126,6 +127,36 @@ void RegionHeap::flush_reclamation() {
   for (int i = 0; i < 64 && epochs_.retired_count() > 0; ++i) {
     epochs_.reclaim();
   }
+}
+
+bool RegionTxLog::owns(const Value* addr) const {
+  const auto* a = reinterpret_cast<const std::byte*>(addr);
+  for (void* p : allocs_) {
+    const auto* b = static_cast<const std::byte*>(p);
+    if (a >= b && a < b + heap_->block_bytes(p)) return true;
+  }
+  return false;
+}
+
+void RegionTxLog::commit() {
+  for (void* p : frees_) {
+    auto it = std::find(allocs_.begin(), allocs_.end(), p);
+    if (it != allocs_.end()) {
+      *it = allocs_.back();
+      allocs_.pop_back();
+      heap_->free_now(p);
+    } else {
+      heap_->retire(p);
+    }
+  }
+  guard_.reset();
+}
+
+void RegionTxLog::rollback() noexcept {
+  for (void* p : allocs_) heap_->free_now(p);
+  allocs_.clear();
+  frees_.clear();
+  guard_.reset();
 }
 
 }  // namespace oftm::core

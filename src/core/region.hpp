@@ -1,4 +1,4 @@
-// TmRegion tier, part 1: the byte-addressable transactional heap.
+// The region tier: transactions over the words of a byte-addressable heap.
 //
 // Every transactional datum elsewhere in this repo is a boxed TVar with
 // per-object metadata — fine for the paper's proofs, hopeless for the
@@ -9,21 +9,30 @@
 // (src/lock/stripe_table.hpp) hashed from the word's address, and a heap
 // whose blocks can be allocated and freed *inside* transactions.
 //
-// This header owns the memory side:
+// There are no region ports of the protocols: TL2 and NOrec are each
+// written once over an addressing policy (core/addressing.hpp), and this
+// header supplies the region one:
 //
-//   RegionOptions — capacity plus the two false-sharing knobs (stripe
-//                   count, stripe granularity) the region backends read.
-//   RegionHeap    — a fixed-capacity arena with size-class free lists.
-//                   alloc()/free_now() are immediate (used for setup and
-//                   for the allocations of *aborted* transactions, which
-//                   were never visible to anyone); retire() defers reuse
-//                   through an EpochManager grace period so a block freed
-//                   by a committed transaction is never recycled while a
-//                   concurrent (doomed) reader may still dereference it.
+//   RegionOptions  — capacity plus the two false-sharing knobs (stripe
+//                    count, stripe granularity) the stripe table reads.
+//   RegionHeap     — a fixed-capacity arena with size-class free lists.
+//                    alloc()/free_now() are immediate (used for setup and
+//                    for the allocations of *aborted* transactions, which
+//                    were never visible to anyone); retire() defers reuse
+//                    through an EpochManager grace period so a block freed
+//                    by a committed transaction is never recycled while a
+//                    concurrent (doomed) reader may still dereference it.
+//   RegionTxLog    — a transaction's private blocks, deferred frees and
+//                    epoch pin.
+//   RegionWords    — the addressing policy: a location is a heap word, and
+//                    TVarId x is word x of a t-var array in the same heap.
+//   RegionWordTier — the word tier of core::TransactionalMemory, which only
+//                    region instantiations (lock::Tl2Region,
+//                    norec::NorecRegion) carry.
 //
-// Reclamation safety argument, in one place because every region backend
-// leans on it: a region transaction holds an epoch Guard for its whole
-// active lifetime (prepare -> commit/abort). A pointer to a block can only
+// Reclamation safety argument, in one place because both protocols lean
+// on it: a region transaction holds an epoch Guard for its whole active
+// lifetime (begin -> commit/abort). A pointer to a block can only
 // be obtained from a consistent snapshot, and the transaction that frees a
 // block unlinks it in the same transaction (standard malloc discipline),
 // so a transaction started after the free commits can never reach the
@@ -38,19 +47,23 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <optional>
 #include <vector>
 
+#include "core/addressing.hpp"
+#include "core/platform.hpp"
+#include "core/tm.hpp"
 #include "core/types.hpp"
+#include "runtime/assert.hpp"
 #include "runtime/cacheline.hpp"
 #include "runtime/epoch.hpp"
 #include "runtime/spin_lock.hpp"
-#include "runtime/xorshift.hpp"
 
 namespace oftm::core {
 
 struct RegionOptions {
-  // Arena size. 0 = derived by the consumer (RegionWordTm sizes it from
-  // num_tvars; direct users should set it).
+  // Arena size. 0 = derived from the t-var count: the t-var array plus
+  // 1 MiB of headroom for transactional alloc/free.
   std::size_t capacity_bytes = 0;
 
   // log2 of the number of lock stripes in the global versioned-lock table.
@@ -175,86 +188,166 @@ class RegionHeap {
   runtime::EpochManager epochs_;
 };
 
-// Open-addressed redo log for region transactions: word address -> value,
-// linear probing, power-of-two capacity, grown geometrically and *kept*
-// across transactions of a pooled descriptor — the same shape (and the
-// same reason) as NOrec's TVarId-keyed WriteSet.
-class RegionWriteSet {
+// The region addressing's per-transaction log: blocks allocated inside the
+// transaction (private until commit, read and written in place), frees
+// deferred to commit, and the epoch pin held for the whole active
+// lifetime.
+class RegionTxLog {
  public:
-  RegionWriteSet() : table_(kInitialCapacity) {}
+  bool owns(const Value* addr) const;
 
-  bool empty() const noexcept { return size_ == 0; }
-  std::size_t size() const noexcept { return size_; }
+  // Commit: a block allocated and freed by this transaction was never
+  // published and is reused at once; other frees wait out the grace
+  // period. Then unpin.
+  void commit();
 
-  void clear() noexcept {
-    if (size_ == 0) return;
-    for (Entry& e : table_) e = Entry{};
-    size_ = 0;
+  // Abort: private blocks were never visible and go back at once; the
+  // frees never happened. Then unpin.
+  void rollback() noexcept;
+
+ private:
+  template <typename>
+  friend class RegionWords;
+
+  RegionHeap* heap_ = nullptr;
+  std::vector<void*> allocs_;  // private until commit
+  std::vector<void*> frees_;   // retired at commit
+  std::optional<runtime::EpochManager::Guard> guard_;
+};
+
+// Stripe table of a protocol without per-location metadata (NOrec): none.
+struct NoStripes {
+  explicit NoStripes(const RegionOptions&) noexcept {}
+};
+
+// Region addressing: a location is the address of a RegionHeap word, and
+// TVarId x is word x of a contiguous t-var array in the same heap — which
+// is how the conformance suite, history recorder and checkers certify
+// region histories unchanged. Per-location metadata lives in a side table
+// hashed from the address (TL2: lock::StripeTable). Heap words are plain
+// memory: transactional loads and stores race by design and go through
+// std::atomic_ref.
+template <typename Stripes = NoStripes>
+class RegionWords {
+ public:
+  using Platform = HwPlatform;
+  using Loc = Value*;
+  using Options = RegionOptions;
+  using TxLog = RegionTxLog;
+  static constexpr const char* kNameSuffix = "-region";
+
+  explicit RegionWords(std::size_t num_tvars, RegionOptions options = {})
+      : num_tvars_(num_tvars),
+        heap_(sized(options, num_tvars).capacity_bytes),
+        stripes_(sized(options, num_tvars)),
+        words_(static_cast<Value*>(heap_.alloc(num_tvars * sizeof(Value)))) {
+    OFTM_ASSERT_MSG(words_ != nullptr, "region arena too small for t-vars");
   }
 
-  const Value* find(const Value* addr) const noexcept {
-    const std::size_t mask = table_.size() - 1;
-    for (std::size_t i = slot_of(addr, mask);; i = (i + 1) & mask) {
-      const Entry& e = table_[i];
-      if (e.addr == addr) return &e.value;
-      if (e.addr == nullptr) return nullptr;
-    }
+  RegionHeap& heap() noexcept { return heap_; }
+  const Stripes& stripes() const noexcept { return stripes_; }
+
+  std::size_t num_tvars() const noexcept { return num_tvars_; }
+  Loc loc(TVarId x) const noexcept {
+    OFTM_ASSERT(x < num_tvars_);
+    return words_ + x;
   }
 
-  void put(Value* addr, Value v) {
-    if (size_ * 2 >= table_.size()) grow();
-    const std::size_t mask = table_.size() - 1;
-    for (std::size_t i = slot_of(addr, mask);; i = (i + 1) & mask) {
-      Entry& e = table_[i];
-      if (e.addr == addr) {
-        e.value = v;
-        return;
-      }
-      if (e.addr == nullptr) {
-        e = Entry{addr, v};
-        ++size_;
-        return;
-      }
-    }
+  static Value load(const Value* addr, std::memory_order mo) {
+    return std::atomic_ref<const Value>(*addr).load(mo);
+  }
+  static void store(Value* addr, Value v, std::memory_order mo) {
+    std::atomic_ref<Value>(*addr).store(v, mo);
   }
 
-  template <typename F>
-  void for_each(F&& f) const {
-    for (const Entry& e : table_) {
-      if (e.addr != nullptr) f(e.addr, e.value);
-    }
+  std::uint32_t meta_key(const Value* addr) const noexcept {
+    return static_cast<std::uint32_t>(stripes_.index_of(addr));
+  }
+  auto& meta(std::uint32_t key) noexcept { return stripes_.stripe(key); }
+
+  void begin(TxLog& log) {
+    log.heap_ = &heap_;
+    log.allocs_.clear();
+    log.frees_.clear();
+    log.guard_.emplace(heap_.epochs());
+  }
+
+  // A zeroed block, private to the transaction until it commits; nullptr
+  // when the arena is exhausted.
+  void* alloc(TxLog& log, std::size_t bytes) {
+    void* p = heap_.alloc(bytes);
+    if (p != nullptr) log.allocs_.push_back(p);
+    return p;
+  }
+
+  void free(TxLog& log, void* p) {
+    OFTM_ASSERT(heap_.contains(p));
+    log.frees_.push_back(p);
   }
 
  private:
-  struct Entry {
-    Value* addr = nullptr;
-    Value value = 0;
-  };
-  static constexpr std::size_t kInitialCapacity = 16;
-
-  static std::size_t slot_of(const Value* addr, std::size_t mask) noexcept {
-    return static_cast<std::size_t>(runtime::mix64(
-               reinterpret_cast<std::uintptr_t>(addr) >> 3)) &
-           mask;
-  }
-
-  void grow() {
-    std::vector<Entry> old = std::move(table_);
-    table_.assign(old.size() * 2, Entry{});
-    const std::size_t mask = table_.size() - 1;
-    for (const Entry& e : old) {
-      if (e.addr == nullptr) continue;
-      for (std::size_t i = slot_of(e.addr, mask);; i = (i + 1) & mask) {
-        if (table_[i].addr == nullptr) {
-          table_[i] = e;
-          break;
-        }
-      }
+  static RegionOptions sized(RegionOptions options, std::size_t num_tvars) {
+    if (options.capacity_bytes == 0) {
+      options.capacity_bytes =
+          num_tvars * sizeof(Value) + (std::size_t{1} << 20);
     }
+    return options;
   }
 
-  std::vector<Entry> table_;
-  std::size_t size_ = 0;
+  const std::size_t num_tvars_;
+  RegionHeap heap_;
+  [[no_unique_address]] Stripes stripes_;
+  Value* const words_;  // owned by heap_
+};
+
+// The word tier of core::TransactionalMemory for a protocol Tm instantiated
+// over RegionWords: the ds:: memory-model layer lays containers out as heap
+// words through these. Only the region instantiations derive from it, so
+// boxed ones keep the asserting defaults.
+template <typename Tm>
+class RegionWordTier : public Tm {
+ public:
+  using Tm::Tm;
+
+  // A transaction still active at teardown holds an epoch pin on the heap,
+  // which Tm's members own: drop the sessions while the heap is alive.
+  ~RegionWordTier() override { this->release_sessions(); }
+
+  bool has_word_access() const override { return true; }
+
+  std::optional<Value> read_word(Transaction& t, const Value* addr) override {
+    OFTM_ASSERT(this->memory().heap().contains(addr));
+    // A location is the writable word address; reading does not write
+    // through it.
+    return this->read_at(Tm::txn_cast(t), const_cast<Value*>(addr));
+  }
+
+  bool write_word(Transaction& t, Value* addr, Value v) override {
+    OFTM_ASSERT(this->memory().heap().contains(addr));
+    return this->write_at(Tm::txn_cast(t), addr, v);
+  }
+
+  // nullptr on arena exhaustion — not an abort: retrying will not help.
+  void* tx_alloc(Transaction& t, std::size_t bytes) override {
+    AddressedTxn<RegionTxLog>& tx = Tm::txn_cast(t);
+    if (tx.status_ != TxStatus::kActive) return nullptr;
+    return this->memory().alloc(tx.log_, bytes);
+  }
+
+  bool tx_free(Transaction& t, void* p) override {
+    AddressedTxn<RegionTxLog>& tx = Tm::txn_cast(t);
+    if (tx.status_ != TxStatus::kActive) return false;
+    this->memory().free(tx.log_, p);
+    return true;
+  }
+
+  void* alloc_quiescent(std::size_t bytes) override {
+    return this->memory().heap().alloc(bytes);
+  }
+
+  Value read_word_quiescent(const Value* addr) const override {
+    return this->memory().load(addr, std::memory_order_acquire);
+  }
 };
 
 }  // namespace oftm::core

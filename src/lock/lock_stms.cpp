@@ -7,8 +7,8 @@ namespace oftm::lock {
 
 template class Tl<core::HwPlatform>;
 template class Tl<sim::SimPlatform>;
-template class Tl2<core::HwPlatform>;
-template class Tl2<sim::SimPlatform>;
+template class Tl2<core::BoxedSlots<core::HwPlatform>>;
+template class Tl2<core::BoxedSlots<sim::SimPlatform>>;
 template class Coarse<core::HwPlatform>;
 template class Coarse<sim::SimPlatform>;
 

@@ -1,4 +1,4 @@
-// TmRegion tier, part 2: the global versioned-lock stripe array.
+// TL2's lock metadata on region words: the global versioned-lock stripes.
 //
 // TL2's per-stripe (PS) metadata scheme: instead of one LockWord per boxed
 // TVar, a single power-of-two array of LockWords covers *every* word the
@@ -25,10 +25,21 @@
 #include <cstdint>
 #include <memory>
 
+#include "core/region.hpp"
 #include "lock/versioned_lock.hpp"
 #include "runtime/assert.hpp"
 
 namespace oftm::lock {
+
+// Auto-sizing used when RegionOptions::stripe_count_log2 is 0: roughly one
+// stripe per word, clamped so tiny regions do not under-provision (false
+// conflicts) and huge ones do not over-provision (a 2^22 * 8 B = 32 MiB
+// table is the ceiling).
+inline unsigned auto_stripe_count_log2(std::size_t words) noexcept {
+  unsigned k = 14;
+  while ((std::size_t{1} << k) < words && k < 22) ++k;
+  return k;
+}
 
 class StripeTable {
  public:
@@ -45,6 +56,14 @@ class StripeTable {
     }
   }
 
+  // Sized by the region's knobs: stripe_count_log2 (0 = auto, from the
+  // arena's word count) and granularity_log2.
+  explicit StripeTable(const core::RegionOptions& options)
+      : StripeTable(options.stripe_count_log2 != 0
+                        ? options.stripe_count_log2
+                        : auto_stripe_count_log2(options.capacity_bytes / 8),
+                    options.granularity_log2) {}
+
   std::size_t count() const noexcept { return mask_ + 1; }
   std::size_t granularity_bytes() const noexcept {
     return std::size_t{1} << shift_;
@@ -57,27 +76,11 @@ class StripeTable {
   std::atomic<std::uint64_t>& stripe(std::size_t index) noexcept {
     return stripes_[index];
   }
-  const std::atomic<std::uint64_t>& stripe(std::size_t index) const noexcept {
-    return stripes_[index];
-  }
-  std::atomic<std::uint64_t>& stripe_for(const void* addr) noexcept {
-    return stripes_[index_of(addr)];
-  }
 
  private:
   const unsigned shift_;
   const std::size_t mask_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> stripes_;
 };
-
-// Auto-sizing used when RegionOptions::stripe_count_log2 is 0: roughly one
-// stripe per word, clamped so tiny regions do not under-provision (false
-// conflicts) and huge ones do not over-provision (a 2^22 * 8 B = 32 MiB
-// table is the ceiling).
-inline unsigned auto_stripe_count_log2(std::size_t words) noexcept {
-  unsigned k = 14;
-  while ((std::size_t{1} << k) < words && k < 22) ++k;
-  return k;
-}
 
 }  // namespace oftm::lock

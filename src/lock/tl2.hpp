@@ -9,24 +9,34 @@
 // transactions), but for the benign reason of a read-mostly-shared counter
 // rather than DSTM's read-write descriptor hot spots. The DAP experiments
 // report TL2's clock conflicts separately to make that distinction visible.
+//
+// Written once over an addressing policy A (core/addressing.hpp). TL2 owns
+// its lock metadata through A's meta word: boxed slots keep the versioned
+// lock inside each slot (the conflict unit is the t-variable); region
+// words keep it in a lock::StripeTable hashed from the address (the
+// conflict unit is the stripe — aliasing can only manufacture conflicts,
+// never hide one).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/addressing.hpp"
 #include "core/platform.hpp"
+#include "core/region.hpp"
 #include "core/tm.hpp"
+#include "lock/stripe_table.hpp"
 #include "lock/versioned_lock.hpp"
-#include "runtime/assert.hpp"
 #include "runtime/cacheline.hpp"
 
 namespace oftm::lock {
 
 struct Tl2Options {
-  int lock_patience = 64;  // spins per write-set lock before self-abort
+  int lock_patience = 64;  // spins per commit-time lock before self-abort
   // Read-version extension: on a stale read (version > rv), revalidate the
   // read set against the current clock and, if every recorded version is
   // untouched, adopt the new clock value as rv instead of aborting. The
@@ -35,153 +45,168 @@ struct Tl2Options {
   bool rv_extension = false;
 };
 
-template <typename P>
-class Tl2 final : public core::TransactionalMemory,
-                  private core::TmStatsMixin {
+// Not final (Tl2Region derives to add the word tier); the operations are,
+// so calls through a concrete Tl2 still devirtualize.
+template <typename A>
+class Tl2 : public core::TransactionalMemory, private core::TmStatsMixin {
+  using P = typename A::Platform;
+  using Loc = typename A::Loc;
   template <typename T>
   using Atomic = typename P::template Atomic<T>;
 
  public:
-  class Txn final : public core::Transaction {
-   public:
-    Txn() = default;
-    ~Txn() override = default;
-    core::TxStatus status() const override { return status_; }
-    core::TxId id() const override { return id_; }
-
+  class Txn final : public core::AddressedTxn<typename A::TxLog> {
    private:
     friend class Tl2;
     struct ReadEntry {
-      core::TVarId x;
-      std::uint64_t version;  // lock-word version observed at read time
+      std::uint32_t key;      // lock key (meta_key) of the location read
+      std::uint64_t version;  // lock version observed at read time
     };
-    struct WriteEntry {
-      core::TVarId x;
+    struct CommitEntry {
+      Loc loc;
       core::Value value;
+      std::uint32_t key;
     };
-    core::TxId id_ = 0;
     std::uint64_t rv_ = 0;  // read version (global clock at begin)
-    // A pooled descriptor is born finished; prepare() arms it.
-    core::TxStatus status_ = core::TxStatus::kAborted;
     std::vector<ReadEntry> reads_;
-    std::vector<WriteEntry> writes_;
-    // Commit-path scratch (pre-lock versions of the write set): lives in
-    // the descriptor so acquiring the write locks allocates nothing after
-    // warm-up.
+    core::WriteSet<Loc> writes_;
+    // Commit-path scratch, kept across transactions so the commit protocol
+    // allocates nothing after warm-up: the redo log sorted by lock key,
+    // the keys locked (ascending) and their pre-lock versions.
+    std::vector<CommitEntry> commit_set_;
+    std::vector<std::uint32_t> locked_;
     std::vector<std::uint64_t> lock_versions_;
   };
 
   using Session = core::PooledTmSession<Txn>;
 
-  explicit Tl2(std::size_t num_tvars, Tl2Options options = {})
-      : options_(options), num_tvars_(num_tvars) {
-    slots_ = std::make_unique<Slot[]>(num_tvars);
+  explicit Tl2(std::size_t num_tvars, Tl2Options options = {},
+               typename A::Options layout = {})
+      : options_(options), mem_(num_tvars, layout) {}
+
+  A& memory() noexcept { return mem_; }
+  const A& memory() const noexcept { return mem_; }
+
+  core::TmSession& this_thread_session() final {
+    return this->session(P::thread_id());
   }
 
-  core::TmSession& this_thread_session() override {
-    return session(P::thread_id());
-  }
-
-  core::Transaction& begin(core::TmSession& session) override {
+  core::Transaction& begin(core::TmSession& session) final {
     Txn& tx = static_cast<Session&>(session).hot();
     prepare(tx);
     return tx;
   }
 
-  core::TxnPtr begin() override {
-    Txn& tx = static_cast<Session&>(session(P::thread_id())).checkout();
+  core::TxnPtr begin() final {
+    Txn& tx =
+        static_cast<Session&>(this->session(P::thread_id())).checkout();
     prepare(tx);
     return core::TxnPtr(&tx);
   }
 
   std::optional<core::Value> read(core::Transaction& t,
-                                  core::TVarId x) override {
-    auto& tx = txn_cast(t);
+                                  core::TVarId x) final {
+    return read_at(txn_cast(t), mem_.loc(x));
+  }
+
+  bool write(core::Transaction& t, core::TVarId x, core::Value v) final {
+    return write_at(txn_cast(t), mem_.loc(x), v);
+  }
+
+  std::optional<core::Value> read_at(Txn& tx, Loc loc) {
     reads_.add();
-    OFTM_ASSERT(x < num_tvars_);
     if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
 
     {
       OFTM_OBS_PHASE(obs_, obs::Phase::kReadLookup);
-      for (const auto& w : tx.writes_) {
-        if (w.x == x) return w.value;
+      if (!tx.writes_.empty()) {
+        if (const core::Value* w = tx.writes_.find(loc)) return *w;
       }
+      // A private block: nobody else can touch it, and its lock carries
+      // whatever version the address range's previous life left behind.
+      if (tx.log_.owns(loc)) return mem_.load(loc, std::memory_order_relaxed);
     }
 
-    Slot& s = slots_[x];
+    const std::uint32_t key = mem_.meta_key(loc);
+    auto& lock = mem_.meta(key);
     for (int pass = 0; pass < 2; ++pass) {
-      const std::uint64_t w1 = s.lock.load(std::memory_order_acquire);
-      const core::Value v = s.value.load(std::memory_order_relaxed);
-      const std::uint64_t w2 = s.lock.load(std::memory_order_acquire);
+      const std::uint64_t w1 = lock.load(std::memory_order_acquire);
+      const core::Value v = mem_.load(loc, std::memory_order_relaxed);
+      const std::uint64_t w2 = lock.load(std::memory_order_acquire);
       // Valid iff stable, unlocked, and not newer than our read version.
       if (w1 == w2 && !LockWord::locked(w1) &&
           LockWord::version(w1) <= tx.rv_) {
-        tx.reads_.push_back({x, LockWord::version(w1)});
+        tx.reads_.push_back({key, LockWord::version(w1)});
         return v;
       }
       // Stale or unstable: try extending rv once, then give up.
       if (pass == 0 && options_.rv_extension && try_extend(tx)) continue;
       break;
     }
-    abort_forced(tx, obs::AbortReason::kReadValidation, x);
+    abort_forced(tx, obs::AbortReason::kReadValidation, key);
     return std::nullopt;
   }
 
-  bool write(core::Transaction& t, core::TVarId x, core::Value v) override {
-    auto& tx = txn_cast(t);
+  bool write_at(Txn& tx, Loc loc, core::Value v) {
     writes_.add();
-    OFTM_ASSERT(x < num_tvars_);
     if (tx.status_ != core::TxStatus::kActive) return false;
-    for (auto& w : tx.writes_) {
-      if (w.x == x) {
-        w.value = v;
-        return true;
-      }
+    if (tx.log_.owns(loc)) {
+      // Private block: write in place, no redo log, no commit-time lock.
+      mem_.store(loc, v, std::memory_order_relaxed);
+      return true;
     }
-    tx.writes_.push_back({x, v});
+    tx.writes_.put(loc, v);
     return true;
   }
 
-  bool try_commit(core::Transaction& t) override {
+  bool try_commit(core::Transaction& t) final {
     auto& tx = txn_cast(t);
     if (tx.status_ != core::TxStatus::kActive) return false;
 
     // Read-only fast path: every read was validated against rv at read
     // time; nothing to lock.
     if (tx.writes_.empty()) {
-      tx.status_ = core::TxStatus::kCommitted;
-      commits_.add();
+      finish_commit(tx);
       return true;
     }
 
-    // Lock the write set in canonical order (deadlock avoidance), bounded
-    // spins (liveness: self-abort, as in the original).
-    std::sort(tx.writes_.begin(), tx.writes_.end(),
-              [](const auto& a, const auto& b) { return a.x < b.x; });
+    // Sort the redo log by lock key and take each lock once, in ascending
+    // order (deadlock avoidance), with bounded spins (self-abort
+    // liveness, as in the original).
+    auto& cs = tx.commit_set_;
+    cs.clear();
+    tx.writes_.for_each([&](Loc loc, core::Value v) {
+      cs.push_back({loc, v, mem_.meta_key(loc)});
+    });
+    std::sort(cs.begin(), cs.end(),
+              [](const auto& a, const auto& b) { return a.key < b.key; });
+
+    std::vector<std::uint32_t>& locked = tx.locked_;
     std::vector<std::uint64_t>& base = tx.lock_versions_;
+    locked.clear();
     base.clear();
-    base.reserve(tx.writes_.size());
     typename P::Backoff backoff;
     {
       OFTM_OBS_PHASE(obs_, obs::Phase::kCommitLock);
-      for (std::size_t i = 0; i < tx.writes_.size(); ++i) {
-        Slot& s = slots_[tx.writes_[i].x];
+      for (const auto& e : cs) {
+        if (!locked.empty() && locked.back() == e.key) continue;
+        auto& lock = mem_.meta(e.key);
         int spin = 0;
         for (;;) {
-          std::uint64_t w = s.lock.load(std::memory_order_acquire);
+          std::uint64_t w = lock.load(std::memory_order_acquire);
           if (!LockWord::locked(w)) {
-            const std::uint64_t locked =
+            const std::uint64_t held =
                 LockWord::pack(LockWord::version(w), true);
-            if (s.lock.compare_exchange_strong(w, locked,
-                                               std::memory_order_acq_rel)) {
+            if (lock.compare_exchange_strong(w, held,
+                                             std::memory_order_acq_rel)) {
+              locked.push_back(e.key);
               base.push_back(LockWord::version(w));
               break;
             }
           }
           if (++spin > options_.lock_patience) {
-            unlock_prefix(tx, base, i);
-            abort_forced(tx, obs::AbortReason::kLockTimeout,
-                         tx.writes_[i].x);
+            unlock(tx);
+            abort_forced(tx, obs::AbortReason::kLockTimeout, e.key);
             return false;
           }
           cm_backoffs_.add();
@@ -196,82 +221,84 @@ class Tl2 final : public core::TransactionalMemory,
         clock_.value.fetch_add(1, std::memory_order_acq_rel) + 1;
 
     // Validate the read set unless nobody could have committed in between.
+    // A lock this transaction holds may appear locked.
     if (tx.rv_ + 1 != wv) {
       OFTM_OBS_PHASE(obs_, obs::Phase::kValidation);
       for (const auto& r : tx.reads_) {
-        bool own = false;
-        for (const auto& w : tx.writes_) {
-          if (w.x == r.x) {
-            own = true;
-            break;
-          }
-        }
+        const bool own =
+            std::binary_search(locked.begin(), locked.end(), r.key);
         const std::uint64_t w =
-            slots_[r.x].lock.load(std::memory_order_acquire);
+            mem_.meta(r.key).load(std::memory_order_acquire);
         if ((LockWord::locked(w) && !own) || LockWord::version(w) > tx.rv_) {
-          unlock_prefix(tx, base, tx.writes_.size());
-          abort_forced(tx, obs::AbortReason::kReadValidation, r.x);
+          unlock(tx);
+          abort_forced(tx, obs::AbortReason::kReadValidation, r.key);
           return false;
         }
       }
     }
 
-    // Write back and release with the commit version.
+    // For each lock: write back its words, then release it with the
+    // commit version.
     {
       OFTM_OBS_PHASE(obs_, obs::Phase::kWriteBack);
-      for (std::size_t i = 0; i < tx.writes_.size(); ++i) {
-        Slot& s = slots_[tx.writes_[i].x];
-        s.value.store(tx.writes_[i].value, std::memory_order_relaxed);
-        s.lock.store(LockWord::pack(wv, false), std::memory_order_release);
+      std::size_t i = 0;
+      for (const std::uint32_t key : locked) {
+        for (; i < cs.size() && cs[i].key == key; ++i) {
+          mem_.store(cs[i].loc, cs[i].value, std::memory_order_relaxed);
+        }
+        mem_.meta(key).store(LockWord::pack(wv, false),
+                             std::memory_order_release);
       }
     }
-    tx.status_ = core::TxStatus::kCommitted;
-    commits_.add();
+    finish_commit(tx);
     return true;
   }
 
-  void try_abort(core::Transaction& t) override {
+  void try_abort(core::Transaction& t) final {
     auto& tx = txn_cast(t);
     if (tx.status_ != core::TxStatus::kActive) return;
-    tx.status_ = core::TxStatus::kAborted;
+    tx.roll_back();
     count_requested_abort();
   }
 
-  std::size_t num_tvars() const override { return num_tvars_; }
-  core::Value read_quiescent(core::TVarId x) const override {
-    return slots_[x].value.load(std::memory_order_acquire);
+  std::size_t num_tvars() const final { return mem_.num_tvars(); }
+  core::Value read_quiescent(core::TVarId x) const final {
+    return mem_.load(mem_.loc(x), std::memory_order_acquire);
   }
-  std::string name() const override {
-    return options_.rv_extension ? "tl2+ext" : "tl2";
+  std::string name() const final {
+    return std::string("tl2") + A::kNameSuffix +
+           (options_.rv_extension ? "+ext" : "");
   }
-  runtime::TxStats stats() const override { return collect_stats(); }
-  void reset_stats() override { reset_collect_stats(); }
+  runtime::TxStats stats() const final { return collect_stats(); }
+  void reset_stats() final { reset_collect_stats(); }
 
  protected:
   std::unique_ptr<core::TmSession> make_session(
-      core::ThreadSlot slot) override {
+      core::ThreadSlot slot) final {
     return std::make_unique<Session>(slot);
   }
 
- private:
-  struct alignas(runtime::kCacheLineSize) Slot {
-    Atomic<std::uint64_t> lock{LockWord::pack(0, false)};
-    Atomic<core::Value> value{0};
-  };
-
   static Txn& txn_cast(core::Transaction& t) { return static_cast<Txn&>(t); }
 
-  // Re-arm a pooled descriptor; set capacity survives. TL2 transactions
-  // hold no locks before try_commit (and try_commit always releases), so
-  // an abandoned predecessor needs no cleanup.
+ private:
+  // Re-arm a pooled descriptor; set capacity survives. A predecessor left
+  // active is abandoned first.
   void prepare(Txn& tx) {
     obs_tx_begin();
+    if (tx.status_ == core::TxStatus::kActive) tx.roll_back();
+    mem_.begin(tx.log_);
     // The shared-clock read that makes TL2 non-strictly-DAP.
     tx.rv_ = clock_.value.load(std::memory_order_acquire);
     tx.id_ = next_tx_id();
     tx.status_ = core::TxStatus::kActive;
     tx.reads_.clear();
     tx.writes_.clear();
+  }
+
+  void finish_commit(Txn& tx) {
+    tx.log_.commit();
+    tx.status_ = core::TxStatus::kCommitted;
+    commits_.add();
   }
 
   static core::TxId next_tx_id() {
@@ -287,7 +314,7 @@ class Tl2 final : public core::TransactionalMemory,
     const std::uint64_t new_rv = clock_.value.load(std::memory_order_acquire);
     if (new_rv <= tx.rv_) return false;
     for (const auto& r : tx.reads_) {
-      const std::uint64_t w = slots_[r.x].lock.load(std::memory_order_acquire);
+      const std::uint64_t w = mem_.meta(r.key).load(std::memory_order_acquire);
       if (LockWord::locked(w) || LockWord::version(w) != r.version) {
         return false;
       }
@@ -296,26 +323,34 @@ class Tl2 final : public core::TransactionalMemory,
     return true;
   }
 
-  void unlock_prefix(Txn& tx, const std::vector<std::uint64_t>& base,
-                     std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-      slots_[tx.writes_[i].x].lock.store(LockWord::pack(base[i], false),
-                                         std::memory_order_release);
+  // Release every lock taken so far at its pre-lock version.
+  void unlock(Txn& tx) {
+    for (std::size_t i = 0; i < tx.locked_.size(); ++i) {
+      mem_.meta(tx.locked_[i])
+          .store(LockWord::pack(tx.lock_versions_[i], false),
+                 std::memory_order_release);
     }
   }
 
-  void abort_forced(Txn& tx, obs::AbortReason reason,
-                    std::uint64_t key = obs::kNoKey) {
-    tx.status_ = core::TxStatus::kAborted;
+  void abort_forced(Txn& tx, obs::AbortReason reason, std::uint64_t key) {
+    tx.roll_back();
     count_forced_abort(reason, key);
   }
 
   const Tl2Options options_;
-  const std::size_t num_tvars_;
-  std::unique_ptr<Slot[]> slots_;
+  A mem_;
   runtime::CacheAligned<Atomic<std::uint64_t>> clock_{0};
 };
 
-using HwTl2 = Tl2<core::HwPlatform>;
+using HwTl2 = Tl2<core::BoxedSlots<core::HwPlatform>>;
+
+// TL2 over region words, locks in a lock::StripeTable, serving the word
+// tier. A named class rather than an alias, so diagnostics and typed-test
+// names read "Tl2Region".
+class Tl2Region final
+    : public core::RegionWordTier<Tl2<core::RegionWords<StripeTable>>> {
+ public:
+  using RegionWordTier::RegionWordTier;
+};
 
 }  // namespace oftm::lock

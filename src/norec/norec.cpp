@@ -4,7 +4,7 @@
 
 namespace oftm::norec {
 
-template class Norec<core::HwPlatform>;
-template class Norec<sim::SimPlatform>;
+template class Norec<core::BoxedSlots<core::HwPlatform>>;
+template class Norec<core::BoxedSlots<sim::SimPlatform>>;
 
 }  // namespace oftm::norec

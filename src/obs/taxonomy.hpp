@@ -94,8 +94,8 @@ inline constexpr const char* phase_name(std::size_t i) {
 }
 
 // One entry of the merged conflict heat map: a contended location (TVarId
-// for the boxed backends, stripe index for tl2-region, address-derived
-// word key for norec-region) and how many forced aborts it was blamed for.
+// for the boxed backends, stripe index for tl2-region, word index —
+// address >> 3 — for norec-region) and how many forced aborts it caused.
 struct HotVar {
   std::uint64_t key = 0;
   std::uint64_t hits = 0;

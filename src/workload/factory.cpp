@@ -3,107 +3,32 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "cm/managers.hpp"
-#include "core/region_tm.hpp"
-#include "dstm/dstm.hpp"
-#include "foctm/foctm.hpp"
-#include "lock/coarse.hpp"
-#include "lock/tl.hpp"
-#include "lock/tl2.hpp"
-#include "lock/tl2_region.hpp"
-#include "norec/norec.hpp"
-#include "norec/norec_region.hpp"
+#include "workload/visit.hpp"
 
 namespace oftm::workload {
+namespace {
+
+constexpr auto kMakeUnique = [](auto type, auto&&... args)
+    -> std::unique_ptr<core::TransactionalMemory> {
+  return std::make_unique<typename decltype(type)::type>(
+      std::forward<decltype(args)>(args)...);
+};
+
+}  // namespace
 
 std::unique_ptr<core::TransactionalMemory> make_tm(const std::string& name,
                                                    std::size_t num_tvars) {
-  std::string base = name;
-  std::string cm_name = "polite";
-  bool has_cm = false;
-  if (const auto colon = name.find(':'); colon != std::string::npos) {
-    base = name.substr(0, colon);
-    cm_name = name.substr(colon + 1);
-    has_cm = true;
-  }
-  // Only the DSTM family takes a contention manager; a ':<cm>' suffix on
-  // any other backend is a recipe typo and must fail loudly, not silently
-  // run the base backend.
-  if (has_cm && base != "dstm" && base != "dstm-collapse" &&
-      base != "dstm-visible") {
-    throw std::invalid_argument("backend does not take a contention manager: " +
-                                name);
-  }
-
-  if (base == "dstm" || base == "dstm-collapse" || base == "dstm-visible") {
-    dstm::DstmOptions options;
-    options.eager_collapse = (base == "dstm-collapse");
-    options.visible_reads = (base == "dstm-visible");
-    return std::make_unique<dstm::HwDstm>(num_tvars,
-                                          cm::make_manager(cm_name), options);
-  }
-  if (base == "foctm") {
-    return std::make_unique<
-        foctm::Foctm<core::HwPlatform, foc::CasFocPolicy<core::HwPlatform>>>(
-        num_tvars, foctm::FoctmOptions{/*use_hints=*/false});
-  }
-  if (base == "foctm-hinted") {
-    return std::make_unique<
-        foctm::Foctm<core::HwPlatform, foc::CasFocPolicy<core::HwPlatform>>>(
-        num_tvars, foctm::FoctmOptions{/*use_hints=*/true});
-  }
-  if (base == "foctm-strict") {
-    return std::make_unique<foctm::Foctm<
-        core::HwPlatform, foc::StrictFocPolicy<core::HwPlatform>>>(
-        num_tvars, foctm::FoctmOptions{/*use_hints=*/true});
-  }
-  if (base == "tl") {
-    return std::make_unique<lock::HwTl>(num_tvars);
-  }
-  if (base == "tl2") {
-    return std::make_unique<lock::HwTl2>(num_tvars);
-  }
-  if (base == "tl2-ext") {
-    lock::Tl2Options options;
-    options.rv_extension = true;
-    return std::make_unique<lock::HwTl2>(num_tvars, options);
-  }
-  if (base == "coarse") {
-    return std::make_unique<lock::HwCoarse>(num_tvars);
-  }
-  if (base == "norec") {
-    return std::make_unique<norec::HwNorec>(num_tvars);
-  }
-  if (base == "norec-bloom") {
-    norec::NorecOptions options;
-    options.bloom_reads = true;
-    return std::make_unique<norec::HwNorec>(num_tvars, options);
-  }
-  if (base == "tl2-region") {
-    return std::make_unique<core::RegionWordTm<lock::Tl2Region>>(num_tvars);
-  }
-  if (base == "norec-region") {
-    return std::make_unique<core::RegionWordTm<norec::NorecRegion>>(num_tvars);
-  }
-  throw std::invalid_argument("unknown TM backend: " + name);
+  return with_recipe(name, num_tvars, {}, kMakeUnique);
 }
 
 std::unique_ptr<core::TransactionalMemory> make_tm_for_containers(
     const std::string& name, std::size_t words) {
-  if (name == "tl2-region" || name == "norec-region") {
-    // The t-var word array, the containers' statics (≈ the same words
-    // again), node churn, and slack for size-class rounding.
-    core::RegionOptions options;
-    options.capacity_bytes =
-        3 * words * sizeof(core::Value) + (std::size_t{2} << 20);
-    if (name == "tl2-region") {
-      return std::make_unique<core::RegionWordTm<lock::Tl2Region>>(words,
-                                                                   options);
-    }
-    return std::make_unique<core::RegionWordTm<norec::NorecRegion>>(words,
-                                                                    options);
-  }
-  return make_tm(name, words);
+  // Region recipes: the t-var word array, the containers' statics (≈ the
+  // same words again), node churn, and slack for size-class rounding.
+  core::RegionOptions region;
+  region.capacity_bytes =
+      3 * words * sizeof(core::Value) + (std::size_t{2} << 20);
+  return with_recipe(name, words, region, kMakeUnique);
 }
 
 std::unique_ptr<core::TransactionalMemory> make_tm_for_containers_cli(

@@ -1,7 +1,8 @@
 // Backend factory: construct any TM in this repo by name. Used by benches,
 // tests and examples so experiment code is backend-agnostic.
 //
-// Two entry points share one recipe grammar:
+// Two entry points share one recipe table (with_recipe, in
+// workload/visit.hpp):
 //   make_tm()  (here)                — type-erased core::TransactionalMemory,
 //                                      the portability tier every checker and
 //                                      the conformance harness drive.
@@ -27,9 +28,9 @@
 //   norec-bloom        NOrec with a Bloom-filter write-set gate on the
 //                      read path (the classic hot-path ablation).
 //   tl2-region         TL2 over the word-granular region tier: raw-memory
-//                      heap, metadata in a global lock-stripe table
-//                      (src/lock/tl2_region.hpp), t-variables laid out as
-//                      contiguous heap words via core::RegionWordTm.
+//                      heap, locks in a global stripe table, t-variables
+//                      laid out as contiguous heap words (lock::Tl2Region —
+//                      the same TL2 body as tl2, over core::RegionWords).
 //   norec-region       NOrec over the region tier (no per-word metadata;
 //                      the region baseline the stripe sweep compares to).
 #pragma once

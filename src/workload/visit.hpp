@@ -1,18 +1,20 @@
-// Static-dispatch backend factory: construct the TM a recipe names as its
-// *concrete* type and hand it to a generic lambda. Where make_tm() returns
-// a type-erased core::TransactionalMemory (one virtual call per operation),
-// visit_tm() lets the driver and benches instantiate their hot loops per
-// backend — reads, writes and commits devirtualize and inline, so harness
-// overhead stops masking the backend deltas the repo exists to measure.
+// The recipe table, and static dispatch through it. with_recipe() is the
+// one place a recipe name becomes a backend. make_tm() (workload/
+// factory.cpp) allocates through it; visit_tm() constructs the TM on the
+// stack and hands it to a generic lambda as its *concrete* type. Where
+// make_tm() returns a type-erased core::TransactionalMemory (one virtual
+// call per operation), visit_tm() lets the driver and benches instantiate
+// their hot loops per backend — reads, writes and commits devirtualize and
+// inline, so harness overhead stops masking the backend deltas the repo
+// exists to measure.
 //
 //   workload::visit_tm(name, num_tvars, [&](auto& tm) {
 //     result = workload::run_workload(tm, config);  // concrete overload
 //   });
 //
-// Accepts exactly the recipes make_tm() accepts (same names, same options,
-// same error behaviour — a drift test in tm_conformance_test.cpp pins the
-// two tables against each other). The TM lives for the duration of the
-// call; the lambda's return value (if any) is passed through.
+// The TM lives for the duration of the call; the lambda's return value (if
+// any) is passed through. VisitTm.AgreesWithMakeTmOnEveryRecipe pins the
+// two entry points to the same names.
 #pragma once
 
 #include <stdexcept>
@@ -21,22 +23,30 @@
 #include <utility>
 
 #include "cm/managers.hpp"
-#include "core/region_tm.hpp"
+#include "core/region.hpp"
 #include "dstm/dstm.hpp"
 #include "foctm/foctm.hpp"
 #include "lock/coarse.hpp"
 #include "lock/tl.hpp"
 #include "lock/tl2.hpp"
-#include "lock/tl2_region.hpp"
 #include "norec/norec.hpp"
-#include "norec/norec_region.hpp"
 
 namespace oftm::workload {
 
-template <typename F>
-auto visit_tm(const std::string& name, std::size_t num_tvars, F&& f) {
-  // All branches must agree on the return type; a generic lambda does.
-  using R = std::invoke_result_t<F&, norec::HwNorec&>;
+template <typename T>
+inline constexpr std::type_identity<T> backend{};
+
+// Calls make(backend<T>, constructor arguments...) for the backend the
+// recipe names and returns its result; throws std::invalid_argument on an
+// unknown recipe. `region` sizes the heap of the region recipes (a zero
+// capacity derives it from num_tvars); boxed recipes ignore it.
+template <typename Make>
+auto with_recipe(const std::string& name, std::size_t num_tvars,
+                 const core::RegionOptions& region, Make&& make) {
+  using CasFoctm =
+      foctm::Foctm<core::HwPlatform, foc::CasFocPolicy<core::HwPlatform>>;
+  using StrictFoctm =
+      foctm::Foctm<core::HwPlatform, foc::StrictFocPolicy<core::HwPlatform>>;
 
   std::string base = name;
   std::string cm_name = "polite";
@@ -46,82 +56,62 @@ auto visit_tm(const std::string& name, std::size_t num_tvars, F&& f) {
     cm_name = name.substr(colon + 1);
     has_cm = true;
   }
+  const bool is_dstm =
+      base == "dstm" || base == "dstm-collapse" || base == "dstm-visible";
   // Only the DSTM family takes a contention manager; a ':<cm>' suffix on
   // any other backend is a recipe typo and must fail loudly, not silently
   // run the base backend.
-  if (has_cm && base != "dstm" && base != "dstm-collapse" &&
-      base != "dstm-visible") {
+  if (has_cm && !is_dstm) {
     throw std::invalid_argument("backend does not take a contention manager: " +
                                 name);
   }
 
-  auto invoke = [&f](auto& tm) -> R {
-    if constexpr (std::is_void_v<R>) {
-      f(tm);
-    } else {
-      return f(tm);
-    }
-  };
-
-  if (base == "dstm" || base == "dstm-collapse" || base == "dstm-visible") {
+  if (is_dstm) {
     dstm::DstmOptions options;
     options.eager_collapse = (base == "dstm-collapse");
     options.visible_reads = (base == "dstm-visible");
-    dstm::HwDstm tm(num_tvars, cm::make_manager(cm_name), options);
-    return invoke(tm);
+    return make(backend<dstm::HwDstm>, num_tvars, cm::make_manager(cm_name),
+                options);
   }
-  if (base == "foctm") {
-    foctm::Foctm<core::HwPlatform, foc::CasFocPolicy<core::HwPlatform>> tm(
-        num_tvars, foctm::FoctmOptions{/*use_hints=*/false});
-    return invoke(tm);
-  }
-  if (base == "foctm-hinted") {
-    foctm::Foctm<core::HwPlatform, foc::CasFocPolicy<core::HwPlatform>> tm(
-        num_tvars, foctm::FoctmOptions{/*use_hints=*/true});
-    return invoke(tm);
+  if (base == "foctm" || base == "foctm-hinted") {
+    return make(backend<CasFoctm>, num_tvars,
+                foctm::FoctmOptions{.use_hints = base == "foctm-hinted"});
   }
   if (base == "foctm-strict") {
-    foctm::Foctm<core::HwPlatform, foc::StrictFocPolicy<core::HwPlatform>> tm(
-        num_tvars, foctm::FoctmOptions{/*use_hints=*/true});
-    return invoke(tm);
+    return make(backend<StrictFoctm>, num_tvars,
+                foctm::FoctmOptions{.use_hints = true});
   }
-  if (base == "tl") {
-    lock::HwTl tm(num_tvars);
-    return invoke(tm);
+  if (base == "tl") return make(backend<lock::HwTl>, num_tvars);
+  if (base == "tl2" || base == "tl2-ext") {
+    return make(backend<lock::HwTl2>, num_tvars,
+                lock::Tl2Options{.rv_extension = base == "tl2-ext"});
   }
-  if (base == "tl2") {
-    lock::HwTl2 tm(num_tvars);
-    return invoke(tm);
-  }
-  if (base == "tl2-ext") {
-    lock::Tl2Options options;
-    options.rv_extension = true;
-    lock::HwTl2 tm(num_tvars, options);
-    return invoke(tm);
-  }
-  if (base == "coarse") {
-    lock::HwCoarse tm(num_tvars);
-    return invoke(tm);
-  }
-  if (base == "norec") {
-    norec::HwNorec tm(num_tvars);
-    return invoke(tm);
-  }
-  if (base == "norec-bloom") {
-    norec::NorecOptions options;
-    options.bloom_reads = true;
-    norec::HwNorec tm(num_tvars, options);
-    return invoke(tm);
+  if (base == "coarse") return make(backend<lock::HwCoarse>, num_tvars);
+  if (base == "norec" || base == "norec-bloom") {
+    return make(backend<norec::HwNorec>, num_tvars,
+                norec::NorecOptions{.bloom_reads = base == "norec-bloom"});
   }
   if (base == "tl2-region") {
-    core::RegionWordTm<lock::Tl2Region> tm(num_tvars);
-    return invoke(tm);
+    return make(backend<lock::Tl2Region>, num_tvars, lock::Tl2Options{},
+                region);
   }
   if (base == "norec-region") {
-    core::RegionWordTm<norec::NorecRegion> tm(num_tvars);
-    return invoke(tm);
+    return make(backend<norec::NorecRegion>, num_tvars,
+                norec::NorecOptions{}, region);
   }
   throw std::invalid_argument("unknown TM backend: " + name);
+}
+
+template <typename F>
+auto visit_tm(const std::string& name, std::size_t num_tvars, F&& f) {
+  // All recipes must agree on the return type; a generic lambda does.
+  using R = std::invoke_result_t<F&, norec::HwNorec&>;
+  return with_recipe(name, num_tvars, {},
+                     [&f](auto type, auto&&... args) -> R {
+                       typename decltype(type)::type tm(
+                           std::forward<decltype(args)>(args)...);
+                       return f(tm);
+                     });
 }
 
 }  // namespace oftm::workload

@@ -20,13 +20,10 @@
 
 #include "core/atomically.hpp"
 #include "core/memory_model.hpp"
-#include "core/region_tm.hpp"
 #include "core/tm.hpp"
 #include "ds/tlist.hpp"
 #include "lock/tl2.hpp"
-#include "lock/tl2_region.hpp"
 #include "norec/norec.hpp"
-#include "norec/norec_region.hpp"
 #include "runtime/stats.hpp"
 
 namespace {
@@ -62,6 +59,12 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace oftm {
 namespace {
@@ -134,12 +137,12 @@ TEST(AllocFree, Tl2HotPathAllocatesNothingAfterWarmup) {
 // scratch and epoch pin in place — the RegionHeap itself is only touched
 // by tx_alloc/tx_free, which this steady state does not issue.
 TEST(AllocFree, Tl2RegionHotPathAllocatesNothingAfterWarmup) {
-  core::RegionWordTm<lock::Tl2Region> tm(kNumTVars);
+  lock::Tl2Region tm(kNumTVars);
   expect_zero_alloc_hot_path(tm);
 }
 
 TEST(AllocFree, NorecRegionHotPathAllocatesNothingAfterWarmup) {
-  core::RegionWordTm<norec::NorecRegion> tm(kNumTVars);
+  norec::NorecRegion tm(kNumTVars);
   expect_zero_alloc_hot_path(tm);
 }
 
@@ -149,16 +152,15 @@ TEST(AllocFree, NorecRegionHotPathAllocatesNothingAfterWarmup) {
 TEST(AllocFree, RegionAllocFreeChurnSteadyStateAllocatesNothing) {
   core::RegionOptions options;
   options.capacity_bytes = 1 << 20;
-  lock::Tl2Region region{options};
-  auto* slot = static_cast<core::Value*>(region.heap().alloc(8));
+  lock::Tl2Region region(kNumTVars, {}, options);
+  auto* slot = static_cast<core::Value*>(region.memory().heap().alloc(8));
   ASSERT_NE(slot, nullptr);
-  lock::Tl2Region::Session session(0);
+  core::TmSession& session = region.session(0);
 
   const auto churn = [&](int count) {
     for (int i = 0; i < count; ++i) {
-      auto& tx = session.hot();
-      region.prepare(tx);
-      const auto cur = region.read(tx, slot);
+      core::Transaction& tx = region.begin(session);
+      const auto cur = region.read_word(tx, slot);
       ASSERT_TRUE(cur.has_value());
       if (*cur != 0) {
         auto* old = reinterpret_cast<core::Value*>(
@@ -167,10 +169,10 @@ TEST(AllocFree, RegionAllocFreeChurnSteadyStateAllocatesNothing) {
       }
       void* p = region.tx_alloc(tx, 64);
       ASSERT_NE(p, nullptr);
-      ASSERT_TRUE(region.write(tx, static_cast<core::Value*>(p), 1));
-      ASSERT_TRUE(region.write(tx, slot,
-                               static_cast<core::Value>(
-                                   reinterpret_cast<std::uintptr_t>(p))));
+      ASSERT_TRUE(region.write_word(tx, static_cast<core::Value*>(p), 1));
+      ASSERT_TRUE(region.write_word(
+          tx, slot,
+          static_cast<core::Value>(reinterpret_cast<std::uintptr_t>(p))));
       ASSERT_TRUE(region.try_commit(tx));
     }
   };
@@ -192,8 +194,8 @@ TEST(AllocFree, RegionContainerChurnSteadyStateAllocatesNothing) {
   constexpr std::uint32_t kCap = 64;
   core::RegionOptions options;
   options.capacity_bytes = 1 << 20;
-  core::RegionWordTm<lock::Tl2Region> tm(
-      ds::TListSetT<core::RegionMemory>::tvars_needed(kCap), options);
+  lock::Tl2Region tm(ds::TListSetT<core::RegionMemory>::tvars_needed(kCap), {},
+                     options);
   ds::TListSetT<core::RegionMemory> set(tm, 0, kCap);
   set.init();
 

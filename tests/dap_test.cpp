@@ -9,7 +9,9 @@
 //   such conflict; TL2 shows one, but on its global clock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "cm/managers.hpp"
 #include "dap/conflicts.hpp"
@@ -17,6 +19,7 @@
 #include "foctm/foctm.hpp"
 #include "lock/tl.hpp"
 #include "lock/tl2.hpp"
+#include "norec/norec.hpp"
 #include "sim/env.hpp"
 #include "sim/platform.hpp"
 
@@ -25,7 +28,8 @@ namespace {
 
 using SimDstm = dstm::Dstm<sim::SimPlatform>;
 using SimTl = lock::Tl<sim::SimPlatform>;
-using SimTl2 = lock::Tl2<sim::SimPlatform>;
+using SimTl2 = lock::Tl2<core::BoxedSlots<sim::SimPlatform>>;
+using SimNorec = norec::Norec<core::BoxedSlots<sim::SimPlatform>>;
 using SimFoctm =
     foctm::Foctm<sim::SimPlatform, foc::StrictFocPolicy<sim::SimPlatform>>;
 
@@ -271,6 +275,46 @@ TEST(Figure2, Tl2ViolatesStrictDapOnlyThroughItsClock) {
     if (p.tx_a == 2 && p.tx_b == 3 && p.disjoint_tvars) ++t2_t3_violations;
   }
   EXPECT_EQ(t2_t3_violations, 1);  // the clock, and only the clock
+}
+
+TEST(Figure2, NorecViolatesStrictDapOnlyThroughItsSeqlock) {
+  // NOrec has no per-location metadata: its one shared base object is the
+  // global sequence lock, which every transaction reads and every writer
+  // CASes and stores at commit. T1's writes are lazy, so the suspended T1
+  // blocks nobody.
+  SimNorec tm(4);
+  const Fig2Result r = run_figure2(tm);
+  EXPECT_TRUE(r.t2_committed);
+  EXPECT_TRUE(r.t3_committed);
+
+  const void* seqlock = nullptr;
+  int t2_t3_violations = 0;
+  for (const ConflictPair& p : r.report.pairs) {
+    if (p.tx_a == 2 && p.tx_b == 3 && p.disjoint_tvars) {
+      ++t2_t3_violations;
+      seqlock = p.object;
+    }
+  }
+  ASSERT_EQ(t2_t3_violations, 1) << r.report.summarize();
+
+  // T1 read w and z, which T2 and T3 then wrote back: each meets T1 on the
+  // seqlock and on the slot of the t-variable it wrote — the slot pairs
+  // show every value access is a simulator step.
+  EXPECT_EQ(r.report.pairs.size(), 5u) << r.report.summarize();
+  std::vector<const void*> t1_t2;
+  std::vector<const void*> t1_t3;
+  for (const ConflictPair& p : r.report.pairs) {
+    if (p.tx_a == 1 && p.tx_b == 2) t1_t2.push_back(p.object);
+    if (p.tx_a == 1 && p.tx_b == 3) t1_t3.push_back(p.object);
+  }
+  ASSERT_EQ(t1_t2.size(), 2u) << r.report.summarize();
+  ASSERT_EQ(t1_t3.size(), 2u) << r.report.summarize();
+  const auto other = [seqlock](const std::vector<const void*>& objects) {
+    return objects[0] == seqlock ? objects[1] : objects[0];
+  };
+  EXPECT_NE(std::find(t1_t2.begin(), t1_t2.end(), seqlock), t1_t2.end());
+  EXPECT_NE(std::find(t1_t3.begin(), t1_t3.end(), seqlock), t1_t3.end());
+  EXPECT_NE(other(t1_t2), other(t1_t3));  // the slots of w and z
 }
 
 // Partitioned workload: disjoint transactions on DSTM never share base

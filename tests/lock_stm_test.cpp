@@ -90,64 +90,83 @@ TEST(Tl, VersionBumpInvalidatesConcurrentReader) {
   EXPECT_FALSE(tm.read(*reader, 1).has_value());  // revalidation fails
 }
 
-TEST(Tl2, ReadOnlyFastPathCommitsWithoutLocks) {
-  HwTl2 tm(8);
+// Runs `check` on TL2 over both addressings: boxed slots and region words.
+template <typename Check>
+void on_both_addressings(Check check) {
   {
-    auto w = tm.begin();
-    ASSERT_TRUE(tm.write(*w, 0, 1));
-    ASSERT_TRUE(tm.try_commit(*w));
+    SCOPED_TRACE("tl2");
+    HwTl2 tm(8);
+    check(tm);
   }
-  auto r = tm.begin();
-  EXPECT_EQ(tm.read(*r, 0).value(), 1u);
-  EXPECT_EQ(tm.read(*r, 1).value(), 0u);
-  EXPECT_TRUE(tm.try_commit(*r));
-  // No writes: the commit must not have bumped any version.
-  auto r2 = tm.begin();
-  EXPECT_EQ(tm.read(*r2, 0).value(), 1u);
-  EXPECT_TRUE(tm.try_commit(*r2));
+  {
+    SCOPED_TRACE("tl2-region");
+    Tl2Region tm(8);
+    check(tm);
+  }
+}
+
+TEST(Tl2, ReadOnlyFastPathCommitsWithoutLocks) {
+  on_both_addressings([](auto& tm) {
+    {
+      auto w = tm.begin();
+      ASSERT_TRUE(tm.write(*w, 0, 1));
+      ASSERT_TRUE(tm.try_commit(*w));
+    }
+    auto r = tm.begin();
+    EXPECT_EQ(tm.read(*r, 0).value(), 1u);
+    EXPECT_EQ(tm.read(*r, 1).value(), 0u);
+    EXPECT_TRUE(tm.try_commit(*r));
+    // No writes: the commit must not have bumped any version.
+    auto r2 = tm.begin();
+    EXPECT_EQ(tm.read(*r2, 0).value(), 1u);
+    EXPECT_TRUE(tm.try_commit(*r2));
+  });
 }
 
 TEST(Tl2, StaleReadVersionAborts) {
-  HwTl2 tm(8);
-  auto old_txn = tm.begin();  // rv captured now
-  {
-    auto w = tm.begin();
-    ASSERT_TRUE(tm.write(*w, 0, 42));
-    ASSERT_TRUE(tm.try_commit(*w));  // version of x now exceeds old rv
-  }
-  EXPECT_FALSE(tm.read(*old_txn, 0).has_value());
-  EXPECT_EQ(old_txn->status(), core::TxStatus::kAborted);
+  on_both_addressings([](auto& tm) {
+    auto old_txn = tm.begin();  // rv captured now
+    {
+      auto w = tm.begin();
+      ASSERT_TRUE(tm.write(*w, 0, 42));
+      ASSERT_TRUE(tm.try_commit(*w));  // version of x now exceeds old rv
+    }
+    EXPECT_FALSE(tm.read(*old_txn, 0).has_value());
+    EXPECT_EQ(old_txn->status(), core::TxStatus::kAborted);
+  });
 }
 
 TEST(Tl2, WriteSetLockedInCanonicalOrder) {
   // Two transactions with reversed write orders must not deadlock (commit
-  // locks sort by t-variable id); sequential here, stress covers the
-  // concurrent case.
-  HwTl2 tm(8);
-  auto t1 = tm.begin();
-  ASSERT_TRUE(tm.write(*t1, 3, 1));
-  ASSERT_TRUE(tm.write(*t1, 1, 2));
-  ASSERT_TRUE(tm.try_commit(*t1));
-  auto t2 = tm.begin();
-  ASSERT_TRUE(tm.write(*t2, 1, 3));
-  ASSERT_TRUE(tm.write(*t2, 3, 4));
-  ASSERT_TRUE(tm.try_commit(*t2));
-  EXPECT_EQ(tm.read_quiescent(1), 3u);
-  EXPECT_EQ(tm.read_quiescent(3), 4u);
+  // locks sort by lock key); sequential here, stress covers the concurrent
+  // case.
+  on_both_addressings([](auto& tm) {
+    auto t1 = tm.begin();
+    ASSERT_TRUE(tm.write(*t1, 3, 1));
+    ASSERT_TRUE(tm.write(*t1, 1, 2));
+    ASSERT_TRUE(tm.try_commit(*t1));
+    auto t2 = tm.begin();
+    ASSERT_TRUE(tm.write(*t2, 1, 3));
+    ASSERT_TRUE(tm.write(*t2, 3, 4));
+    ASSERT_TRUE(tm.try_commit(*t2));
+    EXPECT_EQ(tm.read_quiescent(1), 3u);
+    EXPECT_EQ(tm.read_quiescent(3), 4u);
+  });
 }
 
 TEST(Tl2, CommitValidatesReadSet) {
-  HwTl2 tm(8);
-  auto txn = tm.begin();
-  EXPECT_EQ(tm.read(*txn, 0).value(), 0u);
-  ASSERT_TRUE(tm.write(*txn, 1, 5));
-  {
-    auto w = tm.begin();
-    ASSERT_TRUE(tm.write(*w, 0, 7));
-    ASSERT_TRUE(tm.try_commit(*w));
-  }
-  EXPECT_FALSE(tm.try_commit(*txn));  // read of x is stale
-  EXPECT_EQ(tm.read_quiescent(1), 0u);
+  on_both_addressings([](auto& tm) {
+    auto txn = tm.begin();
+    EXPECT_EQ(tm.read(*txn, 0).value(), 0u);
+    ASSERT_TRUE(tm.write(*txn, 1, 5));
+    {
+      auto w = tm.begin();
+      ASSERT_TRUE(tm.write(*w, 0, 7));
+      ASSERT_TRUE(tm.try_commit(*w));
+    }
+    EXPECT_FALSE(tm.try_commit(*txn));  // read of x is stale
+    EXPECT_EQ(tm.read_quiescent(1), 0u);
+  });
 }
 
 TEST(Tl2, RvExtensionRescuesStaleReader) {

@@ -144,7 +144,8 @@ TEST_P(NorecStressTest, ReadersNeverSeeTornCommits) {
 }
 
 INSTANTIATE_TEST_SUITE_P(NorecRecipes, NorecStressTest,
-                         ::testing::Values("norec", "norec-bloom"),
+                         ::testing::Values("norec", "norec-bloom",
+                                           "norec-region"),
                          conformance::backend_param_name);
 
 }  // namespace

@@ -1,5 +1,6 @@
 // NOrec-specific semantics (src/norec/norec.hpp), beyond what the shared
-// conformance suite already certifies:
+// conformance suite already certifies, on both addressings (boxed slots
+// and region words):
 //   * value-based validation admits the write-then-restore (ABA) history
 //     that version-clock TMs (TL2) must reject;
 //   * progressiveness — a transaction force-aborts only when a conflicting
@@ -11,11 +12,12 @@
 //   * stats plumbing for the NOrec event vocabulary.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 
+#include "core/addressing.hpp"
 #include "core/tm.hpp"
-#include "norec/norec.hpp"
 #include "tm_conformance.hpp"
 #include "workload/factory.hpp"
 
@@ -42,7 +44,12 @@ class NorecTest : public ::testing::TestWithParam<std::string> {
 };
 
 TEST_P(NorecTest, NameReflectsRecipe) {
-  EXPECT_EQ(tm_->name(), GetParam() == "norec" ? "norec" : "norec+bloom");
+  const std::map<std::string, std::string> expected = {
+      {"norec", "norec"},
+      {"norec-bloom", "norec+bloom"},
+      {"norec-region", "norec-region"},
+  };
+  EXPECT_EQ(tm_->name(), expected.at(GetParam()));
 }
 
 TEST_P(NorecTest, SoloTransactionsNeverForceAbort) {
@@ -163,7 +170,8 @@ TEST_P(NorecTest, ReadOnlyTransactionsDoNotInvalidatePeers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(NorecRecipes, NorecTest,
-                         ::testing::Values("norec", "norec-bloom"),
+                         ::testing::Values("norec", "norec-bloom",
+                                           "norec-region"),
                          conformance::backend_param_name);
 
 // The same ABA history on TL2 for contrast: the version clock cannot tell
@@ -193,10 +201,10 @@ TEST(NorecVsTl2, Tl2RejectsTheWriteThenRestoreHistory) {
   EXPECT_GE(tl2->stats().forced_aborts, 1u);
 }
 
-// Direct (non-factory) coverage of the open-addressed write set: collision
-// chains, overwrite-in-place, growth rehashing.
+// Direct (non-factory) coverage of the open-addressed write set both
+// protocols share: collision chains, overwrite-in-place, growth rehashing.
 TEST(NorecWriteSet, PutFindGrowForEach) {
-  norec::WriteSet ws;
+  core::WriteSet<core::TVarId> ws;
   EXPECT_TRUE(ws.empty());
   EXPECT_EQ(ws.find(3), nullptr);
 

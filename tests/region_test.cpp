@@ -1,10 +1,11 @@
-// The TmRegion tier, pinned at three levels:
+// The region tier, pinned at three levels:
 //   * RegionHeap — allocation/rounding/recycling semantics and the
 //     epoch-deferred retire path.
-//   * The region backends driven word-granularly (tx_alloc/tx_free,
-//     private-block access, publish-on-commit, rollback-on-abort) — the
-//     capabilities the boxed TVar interface cannot express.
-//   * The address -> t-var adapter (core::RegionWordTm) through the
+//   * The region instantiations (lock::Tl2Region, norec::NorecRegion)
+//     driven through their word tier (tx_alloc/tx_free, private-block
+//     access, publish-on-commit, rollback-on-abort) — the capabilities the
+//     boxed TVar interface cannot express.
+//   * Their TVarId tier (t-var x is word x of a heap array) through the
 //     factory, where the existing bank-invariant machinery certifies
 //     multi-threaded region histories. (The conformance + checked-stress
 //     suites enroll "tl2-region"/"norec-region" automatically via
@@ -16,10 +17,9 @@
 #include <vector>
 
 #include "core/region.hpp"
-#include "core/region_tm.hpp"
 #include "lock/stripe_table.hpp"
-#include "lock/tl2_region.hpp"
-#include "norec/norec_region.hpp"
+#include "lock/tl2.hpp"
+#include "norec/norec.hpp"
 #include "workload/driver.hpp"
 #include "workload/factory.hpp"
 
@@ -117,12 +117,14 @@ TEST(StripeTable, AutoSizingClampsToSaneBounds) {
 
 // --- Word-granular region backends ------------------------------------------
 
+constexpr std::size_t kRegionTVars = 8;
+
 template <typename R>
 R make_region(unsigned granularity_log2 = 3) {
   core::RegionOptions options;
   options.capacity_bytes = 1 << 20;
   options.granularity_log2 = granularity_log2;
-  return R(options);
+  return R(kRegionTVars, {}, options);
 }
 
 template <typename R>
@@ -133,103 +135,99 @@ TYPED_TEST_SUITE(RegionBackendTest, RegionBackends);
 
 TYPED_TEST(RegionBackendTest, CommittedWritesAreVisibleAbortedOnesAreNot) {
   TypeParam region = make_region<TypeParam>();
-  auto* words = static_cast<core::Value*>(region.heap().alloc(8 * 8));
+  auto* words =
+      static_cast<core::Value*>(region.memory().heap().alloc(8 * 8));
   ASSERT_NE(words, nullptr);
 
-  typename TypeParam::Session session(0);
-  typename TypeParam::Txn& t1 = session.hot();
-  region.prepare(t1);
-  EXPECT_TRUE(region.write(t1, &words[3], 42));
-  EXPECT_EQ(region.read(t1, &words[3]), std::optional<core::Value>(42));
+  core::TmSession& session = region.session(0);
+  core::Transaction& t1 = region.begin(session);
+  EXPECT_TRUE(region.write_word(t1, &words[3], 42));
+  EXPECT_EQ(region.read_word(t1, &words[3]), std::optional<core::Value>(42));
   // Lazy write-back: nothing hits memory before commit.
-  EXPECT_EQ(region.read_quiescent(&words[3]), 0u);
+  EXPECT_EQ(region.read_word_quiescent(&words[3]), 0u);
   EXPECT_TRUE(region.try_commit(t1));
-  EXPECT_EQ(region.read_quiescent(&words[3]), 42u);
+  EXPECT_EQ(region.read_word_quiescent(&words[3]), 42u);
 
-  region.prepare(t1);
-  EXPECT_TRUE(region.write(t1, &words[3], 77));
+  region.begin(session);
+  EXPECT_TRUE(region.write_word(t1, &words[3], 77));
   region.try_abort(t1);
-  EXPECT_EQ(region.read_quiescent(&words[3]), 42u);
+  EXPECT_EQ(region.read_word_quiescent(&words[3]), 42u);
 }
 
 TYPED_TEST(RegionBackendTest, AbortReturnsPrivateAllocationsImmediately) {
   TypeParam region = make_region<TypeParam>();
-  typename TypeParam::Session session(0);
-  const std::size_t baseline = region.heap().allocated_bytes();
+  core::RegionHeap& heap = region.memory().heap();
+  const std::size_t baseline = heap.allocated_bytes();
 
-  typename TypeParam::Txn& tx = session.hot();
-  region.prepare(tx);
+  core::Transaction& tx = region.begin(region.session(0));
   void* p = region.tx_alloc(tx, 64);
   ASSERT_NE(p, nullptr);
-  EXPECT_GT(region.heap().allocated_bytes(), baseline);
+  EXPECT_GT(heap.allocated_bytes(), baseline);
   // Private block: in-place access bypasses the commit protocol.
   auto* w = static_cast<core::Value*>(p);
-  EXPECT_TRUE(region.write(tx, &w[0], 7));
-  EXPECT_EQ(region.read(tx, &w[0]), std::optional<core::Value>(7));
+  EXPECT_TRUE(region.write_word(tx, &w[0], 7));
+  EXPECT_EQ(region.read_word(tx, &w[0]), std::optional<core::Value>(7));
   region.try_abort(tx);
-  EXPECT_EQ(region.heap().allocated_bytes(), baseline);
+  EXPECT_EQ(heap.allocated_bytes(), baseline);
 }
 
 TYPED_TEST(RegionBackendTest, CommitPublishesAllocationAndFreeRetires) {
   TypeParam region = make_region<TypeParam>();
-  typename TypeParam::Session session(0);
-  auto* slot = static_cast<core::Value*>(region.heap().alloc(8));
+  core::RegionHeap& heap = region.memory().heap();
+  core::TmSession& session = region.session(0);
+  auto* slot = static_cast<core::Value*>(heap.alloc(8));
   ASSERT_NE(slot, nullptr);
-  const std::size_t baseline = region.heap().allocated_bytes();
+  const std::size_t baseline = heap.allocated_bytes();
 
   // T1: allocate a node, initialize it, publish its address in *slot.
-  typename TypeParam::Txn& tx = session.hot();
-  region.prepare(tx);
+  core::Transaction& tx = region.begin(session);
   void* node = region.tx_alloc(tx, 32);
   ASSERT_NE(node, nullptr);
   auto* nw = static_cast<core::Value*>(node);
-  EXPECT_TRUE(region.write(tx, &nw[0], 1234));
-  EXPECT_TRUE(
-      region.write(tx, slot, static_cast<core::Value>(
-                                 reinterpret_cast<std::uintptr_t>(node))));
+  EXPECT_TRUE(region.write_word(tx, &nw[0], 1234));
+  EXPECT_TRUE(region.write_word(
+      tx, slot,
+      static_cast<core::Value>(reinterpret_cast<std::uintptr_t>(node))));
   ASSERT_TRUE(region.try_commit(tx));
-  EXPECT_GT(region.heap().allocated_bytes(), baseline);
+  EXPECT_GT(heap.allocated_bytes(), baseline);
 
   // T2: follow the published pointer, read the node, unlink and free it.
-  region.prepare(tx);
-  const auto ptr = region.read(tx, slot);
+  region.begin(session);
+  const auto ptr = region.read_word(tx, slot);
   ASSERT_TRUE(ptr.has_value());
   auto* found =
       reinterpret_cast<core::Value*>(static_cast<std::uintptr_t>(*ptr));
   ASSERT_EQ(found, nw);
-  EXPECT_EQ(region.read(tx, &found[0]), std::optional<core::Value>(1234));
-  EXPECT_TRUE(region.write(tx, slot, 0));
+  EXPECT_EQ(region.read_word(tx, &found[0]), std::optional<core::Value>(1234));
+  EXPECT_TRUE(region.write_word(tx, slot, 0));
   EXPECT_TRUE(region.tx_free(tx, found));
   ASSERT_TRUE(region.try_commit(tx));
 
   // The free is deferred through the grace period, then reclaimed.
-  region.heap().flush_reclamation();
-  EXPECT_EQ(region.heap().allocated_bytes(), baseline);
+  heap.flush_reclamation();
+  EXPECT_EQ(heap.allocated_bytes(), baseline);
 }
 
 TYPED_TEST(RegionBackendTest, AllocThenFreeInSameTransactionLeavesNoTrace) {
   TypeParam region = make_region<TypeParam>();
-  typename TypeParam::Session session(0);
-  const std::size_t baseline = region.heap().allocated_bytes();
+  core::RegionHeap& heap = region.memory().heap();
+  const std::size_t baseline = heap.allocated_bytes();
 
-  typename TypeParam::Txn& tx = session.hot();
-  region.prepare(tx);
+  core::Transaction& tx = region.begin(region.session(0));
   void* p = region.tx_alloc(tx, 48);
   ASSERT_NE(p, nullptr);
   EXPECT_TRUE(region.tx_free(tx, p));
   ASSERT_TRUE(region.try_commit(tx));
   // Never published -> immediate reuse, no grace period involved.
-  EXPECT_EQ(region.heap().allocated_bytes(), baseline);
+  EXPECT_EQ(heap.allocated_bytes(), baseline);
 }
 
 TYPED_TEST(RegionBackendTest, ExhaustionSurfacesAsNullNotAbort) {
   core::RegionOptions options;
   options.capacity_bytes = 4096;
-  TypeParam region{options};
-  typename TypeParam::Session session(0);
+  TypeParam region(kRegionTVars, {}, options);
 
-  typename TypeParam::Txn& tx = session.hot();
-  region.prepare(tx);
+  core::Transaction& tx = region.begin(region.session(0));
   EXPECT_EQ(region.tx_alloc(tx, 1 << 20), nullptr);
   // The transaction itself is still healthy.
   EXPECT_EQ(tx.status(), core::TxStatus::kActive);
@@ -241,30 +239,27 @@ TYPED_TEST(RegionBackendTest, ExhaustionSurfacesAsNullNotAbort) {
 // the region tier exists to measure. (NOrec has no stripes; TL2 only.)
 TEST(Tl2Region, CoarseGranularityManufacturesAdjacencyConflicts) {
   lock::Tl2Region region = make_region<lock::Tl2Region>(/*granularity=*/6);
-  auto* words = static_cast<core::Value*>(region.heap().alloc(64));
+  auto* words = static_cast<core::Value*>(region.memory().heap().alloc(64));
   ASSERT_NE(words, nullptr);
-  ASSERT_EQ(region.stripes().granularity_bytes(), 64u);
+  ASSERT_EQ(region.memory().stripes().granularity_bytes(), 64u);
 
-  lock::Tl2Region::Session s1(0), s2(1);
   // T1 reads word 0; T2 writes word 1 (same granule) and commits; T1's
   // commit-time validation must then see a newer stripe version... but T1
   // is read-only, so it validates at read time: make T1 read *again* after
   // T2's commit to observe the conflict.
-  auto& t1 = s1.hot();
-  region.prepare(t1);
-  ASSERT_TRUE(region.read(t1, &words[0]).has_value());
+  core::Transaction& t1 = region.begin(region.session(0));
+  ASSERT_TRUE(region.read_word(t1, &words[0]).has_value());
 
-  auto& t2 = s2.hot();
-  region.prepare(t2);
-  ASSERT_TRUE(region.write(t2, &words[1], 9));
+  core::Transaction& t2 = region.begin(region.session(1));
+  ASSERT_TRUE(region.write_word(t2, &words[1], 9));
   ASSERT_TRUE(region.try_commit(t2));
 
   // Same stripe, version now > t1.rv: the adjacent word is unreadable.
-  EXPECT_FALSE(region.read(t1, &words[0]).has_value());
+  EXPECT_FALSE(region.read_word(t1, &words[0]).has_value());
   EXPECT_EQ(t1.status(), core::TxStatus::kAborted);
 }
 
-// --- The adapter, through the factory ----------------------------------------
+// --- The TVarId tier, through the factory ------------------------------------
 
 TEST(RegionTm, FactoryBuildsBothRecipesWithRegionSemantics) {
   for (const char* recipe : {"tl2-region", "norec-region"}) {
@@ -282,9 +277,9 @@ TEST(RegionTm, StripeKnobsReachTheBackend) {
   core::RegionOptions options;
   options.stripe_count_log2 = 5;
   options.granularity_log2 = 6;
-  core::RegionWordTm<lock::Tl2Region> tm(128, options);
-  EXPECT_EQ(tm.region().stripes().count(), 32u);
-  EXPECT_EQ(tm.region().stripes().granularity_bytes(), 64u);
+  lock::Tl2Region tm(128, {}, options);
+  EXPECT_EQ(tm.memory().stripes().count(), 32u);
+  EXPECT_EQ(tm.memory().stripes().granularity_bytes(), 64u);
 }
 
 TEST(RegionTm, BankInvariantHoldsAcrossThreads) {

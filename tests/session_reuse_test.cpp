@@ -2,8 +2,9 @@
 // execution tier promises. Every backend recipe must (a) reuse its
 // pooled hot-tier descriptor in place across commit/abort, (b) recycle
 // portability-tier descriptors through the per-thread free list, (c) keep
-// TxId sequencing intact across reuse, and (d) produce identical stats
-// whether a workload runs through the virtual tier or the session tier.
+// TxId sequencing intact across reuse, (d) produce identical stats
+// whether a workload runs through the virtual tier or the session tier,
+// and (e) finish an abandoned transaction without counting an abort.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -155,6 +156,26 @@ TEST_P(SessionReuseTest, StatsIdenticalAcrossTiers) {
   EXPECT_EQ(v.reads, s.reads);
   EXPECT_EQ(v.writes, s.writes);
   EXPECT_EQ(v.victim_kills, s.victim_kills);
+}
+
+TEST_P(SessionReuseTest, AbandonedTransactionsAreNotCountedAsAborts) {
+  // Two ways to walk away from an active transaction: drop its handle, or
+  // begin its session again. Neither is an abort the program requested or
+  // one the TM forced, so no recipe counts one — and the abandoned writes
+  // must not become visible.
+  {
+    TxnPtr dropped = tm_->begin();
+    ASSERT_TRUE(tm_->write(*dropped, 5, 55));
+  }
+  core::TmSession& session = tm_->session(0);
+  core::Transaction& left = tm_->begin(session);
+  ASSERT_TRUE(tm_->write(left, 6, 66));
+  core::Transaction& next = tm_->begin(session);
+  ASSERT_TRUE(tm_->try_commit(next));
+
+  EXPECT_EQ(tm_->stats().aborts, 0u);
+  EXPECT_EQ(tm_->read_quiescent(5), 0u);
+  EXPECT_EQ(tm_->read_quiescent(6), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SessionReuseTest,

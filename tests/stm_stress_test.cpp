@@ -129,7 +129,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("dstm", "dstm:aggressive", "dstm:karma",
                       "dstm-collapse", "dstm-visible", "foctm-hinted",
                       "foctm-strict", "tl", "tl2", "tl2-ext", "coarse",
-                      "norec", "norec-bloom"),
+                      "norec", "norec-bloom", "tl2-region", "norec-region"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name) {
