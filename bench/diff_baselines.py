@@ -1,23 +1,18 @@
 #!/usr/bin/env python3
-"""Diff a fresh benchmark output file against the committed baselines.
+"""Diff a fresh benchmark run report against the committed baselines.
 
 Usage:
-    bench/diff_baselines.py FRESH.json [BASELINE.json]
-        [--threshold 0.10] [--metric items_per_second] [--strict]
+    bench/diff_baselines.py FRESH.jsonl [BASELINE.jsonl]
+        [--threshold 0.10] [--strict]
 
-Two input formats, auto-detected per file:
-
-  * google-benchmark JSON (one document with a "benchmarks" array) —
-    benchmarks are matched by name and compared on --metric
-    (items_per_second by default, falling back to real_time).
-  * the shared JSON-lines run report every bench emits via
-    $OFTM_REPORT_FILE (bench/baselines/REPORT_*.jsonl) — records are
-    matched by their identity fields (bench/scenario/backend plus the
-    config object) and compared on result.throughput_tx_s (or the first
-    *_ns mean for latency-shaped records). Records with no perf metric
-    (claim matrices like E-T9/E-C11 or F2) are compared field-for-field:
-    a changed claim is flagged like a regression — those records encode
-    reproduction results, not machine speed.
+Both files are the shared JSON-lines run report every bench emits via
+$OFTM_REPORT_FILE (bench/baselines/REPORT_*.jsonl). Records are matched by
+their identity fields (bench/scenario/backend plus the config object) and
+compared on result.throughput_tx_s (or the first *_ns mean for
+latency-shaped records). Records with no perf metric (claim matrices like
+E-T9/E-C11 or F2) are compared field-for-field: a changed claim is flagged
+like a regression — those records encode reproduction results, not
+machine speed.
 
 BASELINE defaults to bench/baselines/<basename of FRESH>. Only entries
 present in both files are compared; fresh-only entries are listed so a
@@ -25,8 +20,8 @@ missing baseline never reads as a pass. Exit status is 0 unless --strict
 is given, in which case any flagged regression exits 1 — CI runs it
 non-blocking (no --strict) and pastes the table into the job summary.
 
-Throughput metrics regress downward; time metrics (*_time, *_ns) regress
-upward — the direction is picked from the metric name.
+Throughput metrics regress downward; time metrics (*_ns) regress upward —
+the direction is picked from the metric name.
 """
 
 import argparse
@@ -60,29 +55,6 @@ def flatten(obj, prefix=""):
             out.update(flatten(v, path + "."))
         elif not isinstance(v, list):
             out[path] = v
-    return out
-
-
-def is_jsonl(path):
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError:
-            return True  # multiple documents -> JSON lines
-    return not (isinstance(doc, dict) and "benchmarks" in doc)
-
-
-def load_gbench(path):
-    """Map benchmark name -> entry for every aggregate-free run."""
-    with open(path) as f:
-        doc = json.load(f)
-    out = {}
-    for entry in doc.get("benchmarks", []):
-        if entry.get("run_type") == "aggregate":
-            continue
-        # Repetition entries share a name; keep the first (google-benchmark
-        # orders repetitions before aggregates).
-        out.setdefault(entry["name"], entry)
     return out
 
 
@@ -123,14 +95,6 @@ def load_jsonl(path):
             flat["__display"] = short + suffix
             out[full + suffix] = flat
     return out
-
-
-def gbench_metric(entry, metric):
-    value = entry.get(metric)
-    if value is None and metric == "items_per_second":
-        # Benches that never call SetItemsProcessed fall back to real_time.
-        return entry.get("real_time"), "real_time"
-    return value, metric
 
 
 def jsonl_metric(flat):
@@ -200,19 +164,17 @@ def obs_summary(flat):
 
 
 def lower_is_better(metric):
-    return metric.endswith("_time") or metric.endswith("_ns")
+    return metric.endswith("_ns")
 
 
 def main():
     parser = argparse.ArgumentParser(
         description="Flag regressions against committed bench baselines")
-    parser.add_argument("fresh", help="freshly generated benchmark output")
+    parser.add_argument("fresh", help="freshly generated run report")
     parser.add_argument("baseline", nargs="?",
                         help="baseline file (default: bench/baselines/<name>)")
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="relative regression to flag (default 0.10)")
-    parser.add_argument("--metric", default="items_per_second",
-                        help="google-benchmark field to compare")
     parser.add_argument("--strict", action="store_true",
                         help="exit 1 if any regression exceeds the threshold")
     args = parser.parse_args()
@@ -226,13 +188,8 @@ def main():
         print(f"no baseline at {baseline_path}; nothing to diff", flush=True)
         return 0
 
-    jsonl = is_jsonl(args.fresh)
-    if jsonl:
-        fresh = load_jsonl(args.fresh)
-        base = load_jsonl(baseline_path)
-    else:
-        fresh = load_gbench(args.fresh)
-        base = load_gbench(baseline_path)
+    fresh = load_jsonl(args.fresh)
+    base = load_jsonl(baseline_path)
 
     common = [name for name in base if name in fresh]
     fresh_only = [name for name in fresh if name not in base]
@@ -245,26 +202,21 @@ def main():
     skipped = []
     claims_checked = 0
     for name in common:
-        if jsonl:
-            display = base[name].get("__display", name)
-            base_value, base_metric = jsonl_metric(base[name])
-            fresh_value, fresh_metric = jsonl_metric(fresh[name])
-            if base_metric is None and fresh_metric is None:
-                # Claim record: any changed result field is a finding.
-                claims_checked += 1
-                b, f = claim_fields(base[name]), claim_fields(fresh[name])
-                changed = sorted(k for k in (set(b) | set(f))
-                                 if b.get(k) != f.get(k))
-                if changed:
-                    for k in changed:
-                        rows.append((f"{display} [{k}]", "claim",
-                                     b.get(k), f.get(k), None, True, ""))
-                        flagged.append(f"{display} [{k}]")
-                continue
-        else:
-            display = name
-            base_value, base_metric = gbench_metric(base[name], args.metric)
-            fresh_value, fresh_metric = gbench_metric(fresh[name], args.metric)
+        display = base[name].get("__display", name)
+        base_value, base_metric = jsonl_metric(base[name])
+        fresh_value, fresh_metric = jsonl_metric(fresh[name])
+        if base_metric is None and fresh_metric is None:
+            # Claim record: any changed result field is a finding.
+            claims_checked += 1
+            b, f = claim_fields(base[name]), claim_fields(fresh[name])
+            changed = sorted(k for k in (set(b) | set(f))
+                             if b.get(k) != f.get(k))
+            if changed:
+                for k in changed:
+                    rows.append((f"{display} [{k}]", "claim",
+                                 b.get(k), f.get(k), None, True, ""))
+                    flagged.append(f"{display} [{k}]")
+            continue
         if base_value in (None, 0) or fresh_value is None:
             skipped.append((display, "metric missing or zero"))
             continue
@@ -277,7 +229,7 @@ def main():
                      else delta < -args.threshold)
         # Informational only — an abort-mix or phase-share change is never
         # flagged; it explains a delta, it does not constitute one.
-        info = obs_summary(fresh[name]) if jsonl else ""
+        info = obs_summary(fresh[name])
         rows.append((display, base_metric, base_value, fresh_value, delta,
                      regressed, info))
         if regressed:
@@ -309,8 +261,7 @@ def main():
         print()
     if fresh_only:
         # Not comparing a benchmark is not the same as it passing — say so.
-        if jsonl:
-            fresh_only = [fresh[n].get("__display", n) for n in fresh_only]
+        fresh_only = [fresh[n].get("__display", n) for n in fresh_only]
         shown = ", ".join(f"`{name}`" for name in fresh_only[:5])
         more = f", … +{len(fresh_only) - 5} more" if len(fresh_only) > 5 else ""
         print(f"{len(fresh_only)} entrie(s) in the fresh run have no "

@@ -3,10 +3,8 @@
 #
 # Usage: bench/record_baselines.sh [BUILD_DIR]   (default: build/release)
 #
-# Produces, under bench/baselines/:
-#   REPORT_<bench>.jsonl       shared JSON-lines run report, all 13 benches
-#   BENCH_throughput.json      google-benchmark JSON (headline comparison)
-#   BENCH_foctm_overhead.json  google-benchmark JSON
+# Produces bench/baselines/REPORT_<bench>.jsonl, the shared JSON-lines run
+# report, for all 14 benches.
 #
 # Run from the repo root after a Release build of the bench targets.
 set -euo pipefail
@@ -27,16 +25,6 @@ for b in "${gbench_benches[@]}" "${standalone_benches[@]}"; do
   echo "== $b -> $(basename "$report")"
   args=()
   case "$b" in
-    bench_throughput)
-      # Includes the region tier: tl2-region/norec-region rows in every B1
-      # scenario plus the B1/region_scale sweep over a 16M-word heap.
-      args=(--benchmark_out="$out_dir/BENCH_throughput.json"
-            --benchmark_out_format=json)
-      ;;
-    bench_foctm_overhead)
-      args=(--benchmark_out="$out_dir/BENCH_foctm_overhead.json"
-            --benchmark_out_format=json)
-      ;;
     bench_dap_hotspot)
       # tl+disruptor is the designed blocking pathology: workers spin out
       # 10000 attempts against held encounter locks, which is unbounded

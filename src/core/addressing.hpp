@@ -128,33 +128,19 @@ class WriteSet {
   std::size_t size_ = 0;
 };
 
-// Descriptor fields both protocols keep: identity, status and the
-// addressing's per-transaction log.
-template <typename Log>
-class AddressedTxn : public Transaction {
- public:
-  TxStatus status() const override { return status_; }
-  TxId id() const override { return id_; }
-
+// Descriptor fields both protocols keep besides identity and status: the
+// addressing's per-transaction log. Tm is the protocol's PooledTm.
+template <typename Tm, typename Log>
+class AddressedTxn : public StatusTxn<Tm> {
  protected:
-  // A dropped handle may leave its transaction active. It is abandoned:
-  // rolled back, and — as on every recipe — not counted as an abort.
-  void handle_released() noexcept override {
-    if (status_ == TxStatus::kActive) roll_back();
-    Transaction::handle_released();
-  }
-
   // Mark an active transaction aborted and give back what its log holds
   // (private blocks, the epoch pin). Counting the abort, if it is one, is
   // the caller's business.
   void roll_back() noexcept {
     log_.rollback();
-    status_ = TxStatus::kAborted;
+    this->status_ = TxStatus::kAborted;
   }
 
-  TxId id_ = 0;
-  // A pooled descriptor is born finished; the protocol's prepare arms it.
-  TxStatus status_ = TxStatus::kAborted;
   Log log_;
 
  private:

@@ -329,13 +329,13 @@ class RegionWordTier : public Tm {
 
   // nullptr on arena exhaustion — not an abort: retrying will not help.
   void* tx_alloc(Transaction& t, std::size_t bytes) override {
-    AddressedTxn<RegionTxLog>& tx = Tm::txn_cast(t);
+    auto& tx = Tm::txn_cast(t);
     if (tx.status_ != TxStatus::kActive) return nullptr;
     return this->memory().alloc(tx.log_, bytes);
   }
 
   bool tx_free(Transaction& t, void* p) override {
-    AddressedTxn<RegionTxLog>& tx = Tm::txn_cast(t);
+    auto& tx = Tm::txn_cast(t);
     if (tx.status_ != TxStatus::kActive) return false;
     this->memory().free(tx.log_, p);
     return true;

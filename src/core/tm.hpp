@@ -31,6 +31,10 @@
 // tier exists so the *absolute* numbers are not dominated by harness
 // overhead (the methodological trap the cost-of-obstruction-freedom
 // comparison must avoid).
+//
+// Both tiers run one transaction lifecycle, written once for every
+// backend in PooledTm below: sessions, both begin entry points, tx ids,
+// statistics, and the abandonment rule.
 #pragma once
 
 #include <array>
@@ -49,12 +53,6 @@
 #include "runtime/thread_registry.hpp"
 
 namespace oftm::core {
-
-class TmSession;
-class TransactionalMemory;
-namespace detail {
-class DescriptorPoolBase;
-}
 
 // Index of a per-thread session within a TM instance. Backends map their
 // platform's thread id onto this; any value in [0, kMaxThreads) is valid
@@ -81,16 +79,12 @@ class Transaction {
   Transaction() = default;
 
   // Invoked when a portability-tier handle (TxnPtr) drops this descriptor.
-  // Backend overrides release protocol resources a still-active
-  // transaction may hold (encounter locks, reader-table registrations),
-  // then call the base, which returns a pooled descriptor to its free
-  // list. The descriptor itself is never freed here.
-  virtual void handle_released() noexcept;
+  // A pooled descriptor (PooledTxn) finishes its transaction and returns
+  // to its session's free list; a wrapper descriptor frees itself.
+  virtual void handle_released() noexcept = 0;
 
  private:
   friend struct TxnReleaser;
-  friend class detail::DescriptorPoolBase;
-  detail::DescriptorPoolBase* pool_home_ = nullptr;
 };
 
 // Deleter of the portability tier's handle: recycles the descriptor
@@ -122,42 +116,12 @@ class TmSession {
   const ThreadSlot slot_;
 };
 
-namespace detail {
-
-// Type-erased descriptor pool: owns every descriptor ever created for one
-// session and keeps the portability tier's free list. Descriptors live
-// until the TM is destroyed.
-class DescriptorPoolBase {
- public:
-  void give_back(Transaction* t) { free_.push_back(t); }
-
- protected:
-  ~DescriptorPoolBase() = default;
-
-  static void set_home(Transaction& t, DescriptorPoolBase* home) noexcept {
-    t.pool_home_ = home;
-  }
-
-  std::vector<std::unique_ptr<Transaction>> owned_;
-  std::vector<Transaction*> free_;
-  Transaction* hot_ = nullptr;
-};
-
-}  // namespace detail
-
-inline void Transaction::handle_released() noexcept {
-  // give_back never reallocates here: free_ capacity is pre-reserved for
-  // every descriptor the pool owns (see PooledTmSession::create).
-  if (pool_home_ != nullptr) pool_home_->give_back(this);
-}
-
 // The pooled session every backend uses: one dedicated hot-tier descriptor
 // (stable identity, reset in place by begin(TmSession&)) plus the
-// portability tier's free list. TxnT must be default-constructible; the
-// backend re-arms it via its own prepare step.
+// portability tier's free list. Owns every descriptor it ever created;
+// they live until the TM is destroyed.
 template <typename TxnT>
-class PooledTmSession final : public TmSession,
-                              private detail::DescriptorPoolBase {
+class PooledTmSession final : public TmSession {
  public:
   explicit PooledTmSession(ThreadSlot slot) : TmSession(slot) {}
 
@@ -165,29 +129,36 @@ class PooledTmSession final : public TmSession,
   // list, so its address is stable across transactions — the descriptor
   // reuse the conformance suite pins down.
   TxnT& hot() {
-    if (hot_ == nullptr) hot_ = &create(/*pooled=*/false);
-    return static_cast<TxnT&>(*hot_);
+    if (hot_ == nullptr) hot_ = &create();
+    return *hot_;
   }
 
-  // Portability tier: check a descriptor out of the free list; the handle
-  // releaser (Transaction::handle_released) checks it back in. Allocates
-  // only when every owned descriptor is simultaneously live.
+  // Portability tier: check a descriptor out of the free list; releasing
+  // the handle checks it back in. Allocates only when every owned
+  // descriptor is simultaneously live.
   TxnT& checkout() {
-    if (free_.empty()) return static_cast<TxnT&>(create(/*pooled=*/true));
-    Transaction* t = free_.back();
+    if (free_.empty()) {
+      TxnT& t = create();
+      t.free_list_ = &free_;
+      return t;
+    }
+    auto& t = static_cast<TxnT&>(*free_.back());
     free_.pop_back();
-    return static_cast<TxnT&>(*t);
+    return t;
   }
 
  private:
-  Transaction& create(bool pooled) {
+  TxnT& create() {
     owned_.push_back(std::make_unique<TxnT>());
-    Transaction& t = *owned_.back();
-    if (pooled) set_home(t, this);
-    // Keep give_back allocation-free (it runs inside a noexcept releaser).
+    // Keep the check-in allocation-free (it runs inside a noexcept
+    // releaser).
     free_.reserve(owned_.size());
-    return t;
+    return *owned_.back();
   }
+
+  std::vector<std::unique_ptr<TxnT>> owned_;
+  std::vector<Transaction*> free_;
+  TxnT* hot_ = nullptr;
 };
 
 namespace detail {
@@ -239,7 +210,8 @@ class TransactionalMemory {
   // Start a new transaction on the calling thread. The handle's releaser
   // recycles the descriptor into the thread's session pool; handles may be
   // live concurrently on one thread (they check out distinct descriptors)
-  // but must be released on the thread that began them.
+  // and may finish in any order, but must be released on the thread that
+  // began them.
   virtual TxnPtr begin() = 0;
 
   // Read t-variable x within txn. nullopt == abort event A_k: the
@@ -318,11 +290,40 @@ class TransactionalMemory {
   detail::SessionTableState sessions_;
 };
 
-// Statistics plumbing shared by all backends: striped counters so that
-// bookkeeping does not create false sharing between worker threads.
-class TmStatsMixin {
+template <typename Tm>
+class PooledTxn;
+
+// The transaction lifecycle, written once for every backend: a CRTP base
+// over the backend D on platform P. It owns the pooled sessions, both
+// begin entry points, tx-id minting and the statistics; D supplies its
+// descriptor type D::Txn (derived from PooledTxn), its protocol
+// operations, and two hooks it befriends this base for:
+//
+//   prepare(Txn&, TxId)  arm a descriptor for a new transaction;
+//   finish(Txn&)         end an active transaction: give back whatever it
+//                        still holds, mark it aborted, count nothing.
+//
+// The abandonment rule: a transaction is left unfinished when its handle
+// drops or its session begins again. At both points the base calls
+// finish. An abandoned transaction is not an abort — finish never counts
+// one — and finish is idempotent, so it may run on a transaction that
+// already committed or aborted.
+template <typename D, typename P>
+class PooledTm : public TransactionalMemory {
  public:
-  runtime::TxStats collect_stats() const {
+  TmSession& this_thread_session() final { return session(P::thread_id()); }
+
+  Transaction& begin(TmSession& session) final {
+    return start(static_cast<PooledTmSession<typename D::Txn>&>(session).hot());
+  }
+
+  TxnPtr begin() final {
+    return TxnPtr(&start(
+        static_cast<PooledTmSession<typename D::Txn>&>(this_thread_session())
+            .checkout()));
+  }
+
+  runtime::TxStats stats() const final {
     runtime::TxStats s;
     s.commits = commits_.read();
     s.aborts = aborts_.read();
@@ -340,7 +341,7 @@ class TmStatsMixin {
     return s;
   }
 
-  void reset_collect_stats() {
+  void reset_stats() final {
     commits_.reset();
     aborts_.reset();
     forced_aborts_.reset();
@@ -352,6 +353,14 @@ class TmStatsMixin {
   }
 
  protected:
+  std::unique_ptr<TmSession> make_session(ThreadSlot slot) final {
+    return std::make_unique<PooledTmSession<typename D::Txn>>(slot);
+  }
+
+  static auto& txn_cast(Transaction& t) {
+    return static_cast<typename D::Txn&>(t);
+  }
+
   // Abort funnels: every abort a backend counts goes through exactly one
   // of these, so the per-reason attribution can never drift from the
   // aggregate counters (TxStats::check_abort_reasons pins the sum).
@@ -384,10 +393,8 @@ class TmStatsMixin {
 #endif
   }
 
-  // Once per begun transaction: elects (or not) this transaction for
-  // phase-interval sampling. Backends call it from prepare().
-  void obs_tx_begin() { OFTM_OBS_ONLY(obs::tick_tx_sample();) }
-
+  // Striped counters, so bookkeeping does not create false sharing
+  // between worker threads.
   runtime::StripedCounter commits_;
   runtime::StripedCounter aborts_;
   runtime::StripedCounter forced_aborts_;
@@ -397,10 +404,75 @@ class TmStatsMixin {
   runtime::StripedCounter victim_kills_;
 #if OFTM_OBS
   // Phase histograms, heat map and reason counters for this TM instance.
-  // Mutable: collect_stats() is const but materializes nothing; the
-  // recording paths go through the protected helpers above.
+  // Mutable: stats() is const but materializes nothing; the recording
+  // paths go through the protected helpers above.
   mutable obs::TmObs obs_;
 #endif
+
+ private:
+  friend class PooledTxn<PooledTm>;
+
+  // Both begin entry points: finish what the descriptor's previous
+  // transaction left behind, then arm it. Adds no shared-memory step, so
+  // a simulated begin is exactly the backend's prepare.
+  template <typename Txn>
+  Txn& start(Txn& tx) {
+    // Elects (or not) this transaction for phase-interval sampling.
+    OFTM_OBS_ONLY(obs::tick_tx_sample();)
+    D& self = static_cast<D&>(*this);
+    self.finish(tx);
+    tx.tm_ = this;
+    self.prepare(tx, next_tx_id());
+    return tx;
+  }
+
+  void finish_released(PooledTxn<PooledTm>& t) noexcept {
+    static_cast<D&>(*this).finish(static_cast<typename D::Txn&>(t));
+  }
+
+  // Footnote 3 id discipline: the thread slot in the high bits, a
+  // per-thread counter in the low bits.
+  static TxId next_tx_id() {
+    thread_local std::uint64_t counter = 0;
+    return make_tx_id(P::thread_id(), ++counter);
+  }
+};
+
+// The descriptor half of PooledTm: every backend's descriptor derives from
+// it (Tm is the backend's PooledTm).
+template <typename Tm>
+class PooledTxn : public Transaction {
+ protected:
+  PooledTxn() = default;
+
+ private:
+  friend Tm;
+  template <typename>
+  friend class PooledTmSession;
+
+  // Only checked-out descriptors reach here; the hot one is never handed
+  // out as a handle.
+  void handle_released() noexcept final {
+    tm_->finish_released(*this);
+    free_list_->push_back(this);
+  }
+
+  Tm* tm_ = nullptr;  // set by every begin
+  std::vector<Transaction*>* free_list_ = nullptr;  // the session's
+};
+
+// Identity and status held in the descriptor itself: every backend but
+// DSTM, whose status lives in the TxDesc other transactions CAS.
+template <typename Tm>
+class StatusTxn : public PooledTxn<Tm> {
+ public:
+  TxStatus status() const override { return status_; }
+  TxId id() const override { return id_; }
+
+ protected:
+  TxId id_ = 0;
+  // A pooled descriptor is born finished; the backend's prepare arms it.
+  TxStatus status_ = TxStatus::kAborted;
 };
 
 }  // namespace oftm::core

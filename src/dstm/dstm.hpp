@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,8 +73,8 @@ struct DstmOptions {
 };
 
 template <typename P>
-class Dstm final : public core::TransactionalMemory,
-                   private core::TmStatsMixin {
+class Dstm final : public core::PooledTm<Dstm<P>, P> {
+  using Base = core::PooledTm<Dstm, P>;
   template <typename T>
   using Atomic = typename P::template Atomic<T>;
 
@@ -109,10 +110,8 @@ class Dstm final : public core::TransactionalMemory,
     }
   };
 
-  class Txn final : public core::Transaction {
+  class Txn final : public core::PooledTxn<Base> {
    public:
-    Txn() = default;
-
     ~Txn() override {
       // Pool teardown (TM destruction): drop the handle's descriptor
       // reference; locators still naming it keep it alive via their own.
@@ -140,22 +139,17 @@ class Dstm final : public core::TransactionalMemory,
       std::size_t slot_index;
     };
 
-    // An abandoned live transaction is aborted so it cannot be committed
-    // through a stale descriptor by a late status read.
-    void handle_released() noexcept override {
-      if (tm_ != nullptr) tm_->finish_descriptor(*this);
-      core::Transaction::handle_released();
-    }
-
-    Dstm* tm_ = nullptr;
     TxDesc* desc_ = nullptr;
     std::vector<ReadEntry> reads_;
     std::vector<WriteEntry> writes_;
     std::vector<VisibleEntry> visible_;  // reader-table registrations
     int cm_tid_ = 0;
+    // The epoch pin, held from prepare until the owner learns the
+    // transaction is over. Validation compares locator addresses, so a
+    // locator the transaction read must not be reclaimed (and its address
+    // reused) while the transaction can still validate against it.
+    std::optional<typename P::Reclaimer::Guard> pin_;
   };
-
-  using Session = core::PooledTmSession<Txn>;
 
   Dstm(std::size_t num_tvars, std::shared_ptr<cm::ContentionManager> cm,
        DstmOptions options = {})
@@ -175,38 +169,23 @@ class Dstm final : public core::TransactionalMemory,
     }
   }
 
-  core::TmSession& this_thread_session() override {
-    return session(P::thread_id());
-  }
-
-  core::Transaction& begin(core::TmSession& session) override {
-    Txn& tx = static_cast<Session&>(session).hot();
-    prepare(tx);
-    return tx;
-  }
-
-  core::TxnPtr begin() override {
-    Txn& tx = static_cast<Session&>(session(P::thread_id())).checkout();
-    prepare(tx);
-    return core::TxnPtr(&tx);
-  }
-
   std::optional<core::Value> read(core::Transaction& t, core::TVarId x) override {
-    auto& tx = txn_cast(t);
-    reads_.add();
+    auto& tx = this->txn_cast(t);
+    this->reads_.add();
     OFTM_ASSERT(x < num_tvars_);
 
-    // The guard must cover the own-write scan too, and must be entered
-    // BEFORE the status check: a displacing writer force-aborts us first
-    // and only then retires our locator, so observing kActive inside the
-    // pinned epoch proves the retire (if any) lands after the pin — the
-    // new_val dereference below cannot race reclamation.
-    [[maybe_unused]] typename P::Reclaimer::Guard guard;
-    if (tx.status() != core::TxStatus::kActive) return std::nullopt;
+    // The pin (taken at begin) precedes this status check: a displacing
+    // writer force-aborts us first and only then retires our locator, so
+    // observing kActive proves the retire (if any) lands after the pin —
+    // the new_val dereference below cannot race reclamation.
+    if (tx.status() != core::TxStatus::kActive) {
+      release(tx);
+      return std::nullopt;
+    }
 
     // Own pending write?
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kReadLookup);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kReadLookup);
       for (const auto& w : tx.writes_) {
         if (w.x == x) return w.loc->new_val.load(std::memory_order_relaxed);
       }
@@ -230,7 +209,7 @@ class Dstm final : public core::TransactionalMemory,
             return std::nullopt;
           }
           {
-            OFTM_OBS_PHASE(obs_, obs::Phase::kBackoff);
+            OFTM_OBS_PHASE(this->obs_, obs::Phase::kBackoff);
             backoff.pause();
           }
           continue;
@@ -249,15 +228,16 @@ class Dstm final : public core::TransactionalMemory,
   }
 
   bool write(core::Transaction& t, core::TVarId x, core::Value v) override {
-    auto& tx = txn_cast(t);
-    writes_.add();
+    auto& tx = this->txn_cast(t);
+    this->writes_.add();
     OFTM_ASSERT(x < num_tvars_);
 
-    // Guard before the status check and own-write scan — same reclamation
-    // race as read(): the locator we are about to store into may otherwise
-    // be retired by a displacing writer between check and dereference.
-    [[maybe_unused]] typename P::Reclaimer::Guard guard;
-    if (tx.status() != core::TxStatus::kActive) return false;
+    // Same reclamation argument as read(): the locator we are about to
+    // store into cannot be reclaimed between this check and the store.
+    if (tx.status() != core::TxStatus::kActive) {
+      release(tx);
+      return false;
+    }
 
     for (const auto& w : tx.writes_) {
       if (w.x == x) {
@@ -268,7 +248,8 @@ class Dstm final : public core::TransactionalMemory,
 
     typename P::Backoff backoff;
     int attempt = 0;
-    OFTM_OBS_PHASE(obs_, obs::Phase::kCommitLock);  // ownership acquisition
+    // Ownership acquisition.
+    OFTM_OBS_PHASE(this->obs_, obs::Phase::kCommitLock);
     for (;;) {
       Locator* loc = slots_[x].value.load(std::memory_order_acquire);
       core::Value value;
@@ -281,7 +262,7 @@ class Dstm final : public core::TransactionalMemory,
             return false;
           }
           {
-            OFTM_OBS_PHASE(obs_, obs::Phase::kBackoff);
+            OFTM_OBS_PHASE(this->obs_, obs::Phase::kBackoff);
             backoff.pause();
           }
           continue;
@@ -320,8 +301,7 @@ class Dstm final : public core::TransactionalMemory,
   }
 
   bool try_commit(core::Transaction& t) override {
-    auto& tx = txn_cast(t);
-    [[maybe_unused]] typename P::Reclaimer::Guard guard;
+    auto& tx = this->txn_cast(t);
     if (!validate(tx)) {
       abort_self(tx, obs::AbortReason::kReadValidation);
       return false;
@@ -332,10 +312,13 @@ class Dstm final : public core::TransactionalMemory,
     if (tx.desc_->status.compare_exchange_strong(
             expected, core::TxStatus::kCommitted,
             std::memory_order_acq_rel)) {
-      commits_.add();
+      this->commits_.add();
       cm_->on_commit(tx.cm_tid_);
-      release_visible(tx);
+      // Collapsing dereferences our locators: still pinned. (Collapse and
+      // visible reads are separate recipes, so the order of the two is
+      // invisible to the simulator.)
       if (options_.eager_collapse) collapse_writes(tx);
+      release(tx);
       return true;
     }
     on_forced_abort(tx);  // somebody aborted us first
@@ -343,14 +326,14 @@ class Dstm final : public core::TransactionalMemory,
   }
 
   void try_abort(core::Transaction& t) override {
-    auto& tx = txn_cast(t);
+    auto& tx = this->txn_cast(t);
     core::TxStatus expected = core::TxStatus::kActive;
     if (tx.desc_->status.compare_exchange_strong(
             expected, core::TxStatus::kAborted, std::memory_order_acq_rel)) {
-      count_requested_abort();
+      this->count_requested_abort();
       cm_->on_abort(tx.cm_tid_);
     }
-    release_visible(tx);
+    release(tx);
   }
 
   std::size_t num_tvars() const override { return num_tvars_; }
@@ -370,8 +353,6 @@ class Dstm final : public core::TransactionalMemory,
     if (options_.visible_reads) n += "+visible";
     return n;
   }
-  runtime::TxStats stats() const override { return collect_stats(); }
-  void reset_stats() override { reset_collect_stats(); }
 
   // Address of the descriptor status word of a live transaction — exposed
   // for the DAP experiments, which need to point at the shared base object
@@ -380,13 +361,9 @@ class Dstm final : public core::TransactionalMemory,
     return &static_cast<const Txn&>(t).desc_->status;
   }
 
- protected:
-  std::unique_ptr<core::TmSession> make_session(
-      core::ThreadSlot slot) override {
-    return std::make_unique<Session>(slot);
-  }
-
  private:
+  friend Base;
+
   // Bounded reader table used by the visible-reads ablation.
   static constexpr std::size_t kReaderSlots = 8;
 
@@ -395,32 +372,14 @@ class Dstm final : public core::TransactionalMemory,
     Atomic<TxDesc*> readers[kReaderSlots] = {};
   };
 
-  static Txn& txn_cast(core::Transaction& t) { return static_cast<Txn&>(t); }
-
-  // Complete whatever the descriptor's previous transaction left behind:
-  // an active one is aborted (uncounted — this is abandonment, not a
-  // protocol abort), reader-table registrations drop, and the handle's
-  // TxDesc reference is released. Idempotent.
-  void finish_descriptor(Txn& tx) noexcept {
-    if (tx.desc_ == nullptr) return;
-    core::TxStatus expected = core::TxStatus::kActive;
-    tx.desc_->status.compare_exchange_strong(
-        expected, core::TxStatus::kAborted, std::memory_order_acq_rel);
-    release_visible(tx);
-    TxDesc::unref(tx.desc_);
-    tx.desc_ = nullptr;
-  }
-
   // Re-arm a pooled descriptor. The read/write/visible sets keep their
   // capacity; the TxDesc itself is a fresh heap object by protocol
   // necessity — locators may outlive the transaction that installed them
   // (the paper's shared-descriptor base object, Theorem 13).
-  void prepare(Txn& tx) {
-    obs_tx_begin();
-    finish_descriptor(tx);
-    tx.tm_ = this;
+  void prepare(Txn& tx, core::TxId id) {
+    tx.pin_.emplace();
     tx.desc_ = new TxDesc;
-    tx.desc_->id = next_tx_id();
+    tx.desc_->id = id;
     tx.reads_.clear();
     tx.writes_.clear();
     tx.visible_.clear();
@@ -428,9 +387,32 @@ class Dstm final : public core::TransactionalMemory,
     cm_->on_tx_begin(tx.cm_tid_, tx.desc_->id);
   }
 
-  static core::TxId next_tx_id() {
-    thread_local std::uint64_t counter = 0;
-    return core::make_tx_id(P::thread_id(), ++counter);
+  // An abandoned live transaction is aborted, so it cannot be committed
+  // through a stale descriptor by a late status read; then it lets go of
+  // everything, including the handle's TxDesc reference.
+  void finish(Txn& tx) noexcept {
+    if (tx.desc_ == nullptr) return;
+    core::TxStatus expected = core::TxStatus::kActive;
+    tx.desc_->status.compare_exchange_strong(
+        expected, core::TxStatus::kAborted, std::memory_order_acq_rel);
+    release(tx);
+    TxDesc::unref(tx.desc_);
+    tx.desc_ = nullptr;
+  }
+
+  // The owner learned its transaction is over: drop its reader-table
+  // registrations and its epoch pin. Idempotent; every completion path
+  // funnels through here.
+  void release(Txn& tx) {
+    for (const auto& v : tx.visible_) {
+      TxDesc* cur = tx.desc_;
+      if (slots_[v.x].readers[v.slot_index].compare_exchange_strong(
+              cur, nullptr, std::memory_order_acq_rel)) {
+        TxDesc::unref(tx.desc_);
+      }
+    }
+    tx.visible_.clear();
+    tx.pin_.reset();
   }
 
   enum class Resolve { kResolved, kRetry, kSelfAborted };
@@ -472,7 +454,7 @@ class Dstm final : public core::TransactionalMemory,
         if (loc->owner->status.compare_exchange_strong(
                 expected, core::TxStatus::kAborted,
                 std::memory_order_acq_rel)) {
-          victim_kills_.add();
+          this->victim_kills_.add();
           cm_->on_abort(c.victim_tid);
         }
         // Owner is now resolved either way; re-resolve without pausing.
@@ -485,7 +467,7 @@ class Dstm final : public core::TransactionalMemory,
         return Resolve::kResolved;
       }
       case cm::Decision::kWait:
-        cm_backoffs_.add();
+        this->cm_backoffs_.add();
         ++attempt;
         return Resolve::kRetry;
       case cm::Decision::kAbortSelf:
@@ -500,7 +482,7 @@ class Dstm final : public core::TransactionalMemory,
   // is recorded only once its resolution is stable, and resolved locators
   // never change value.
   bool validate(Txn& tx) {
-    OFTM_OBS_PHASE(obs_, obs::Phase::kValidation);
+    OFTM_OBS_PHASE(this->obs_, obs::Phase::kValidation);
     for (const auto& r : tx.reads_) {
       if (slots_[r.x].value.load(std::memory_order_acquire) != r.seen) {
         return false;
@@ -514,17 +496,17 @@ class Dstm final : public core::TransactionalMemory,
     core::TxStatus expected = core::TxStatus::kActive;
     tx.desc_->status.compare_exchange_strong(
         expected, core::TxStatus::kAborted, std::memory_order_acq_rel);
-    count_forced_abort(reason, key);  // not requested via tryA
+    this->count_forced_abort(reason, key);  // not requested via tryA
     cm_->on_abort(tx.cm_tid_);
-    release_visible(tx);
+    release(tx);
   }
 
   // Our status CAS was beaten by another process (a contention-manager
   // kill, or a visible-reads sweep): account the forced abort.
   void on_forced_abort(Txn& tx, std::uint64_t key = obs::kNoKey) {
-    count_forced_abort(obs::AbortReason::kCmKill, key);
+    this->count_forced_abort(obs::AbortReason::kCmKill, key);
     cm_->on_abort(tx.cm_tid_);
-    release_visible(tx);
+    release(tx);
   }
 
   // ---- Visible reads (ablation) ----------------------------------------
@@ -559,7 +541,7 @@ class Dstm final : public core::TransactionalMemory,
       if (reader->status.compare_exchange_strong(
               expected, core::TxStatus::kAborted,
               std::memory_order_acq_rel)) {
-        victim_kills_.add();
+        this->victim_kills_.add();
         cm_->on_abort(core::tx_id_thread(reader->id));
       }
       // Whoever nulls the entry drops its reference.
@@ -569,19 +551,6 @@ class Dstm final : public core::TransactionalMemory,
         TxDesc::unref(reader);
       }
     }
-  }
-
-  // Reader side: drop own registrations (idempotent; every completion path
-  // funnels through here).
-  void release_visible(Txn& tx) {
-    for (const auto& v : tx.visible_) {
-      TxDesc* cur = tx.desc_;
-      if (slots_[v.x].readers[v.slot_index].compare_exchange_strong(
-              cur, nullptr, std::memory_order_acq_rel)) {
-        TxDesc::unref(tx.desc_);
-      }
-    }
-    tx.visible_.clear();
   }
 
   // Optionally replace a resolved locator with an ownerless value locator;

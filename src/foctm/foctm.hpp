@@ -59,8 +59,8 @@ struct FoctmOptions {
 };
 
 template <typename P, typename FocPolicy>
-class Foctm final : public core::TransactionalMemory,
-                    private core::TmStatsMixin {
+class Foctm final : public core::PooledTm<Foctm<P, FocPolicy>, P> {
+  using Base = core::PooledTm<Foctm, P>;
   template <typename T>
   using Atomic = typename P::template Atomic<T>;
 
@@ -74,7 +74,6 @@ class Foctm final : public core::TransactionalMemory,
   struct TxDesc {
     StateFoc state;                   // State[Tk]
     Atomic<bool> aborted_flag{false};  // Aborted[Tk]
-    core::TxId id = 0;
     // TVar[x, Tk]: written only by the owning transaction before its State
     // decides; read by others only afterwards (Claim 16).
     std::vector<std::pair<core::TVarId, core::Value>> tvals;
@@ -99,30 +98,23 @@ class Foctm final : public core::TransactionalMemory,
     }
   };
 
-  class Txn final : public core::Transaction {
+  class Txn final : public core::StatusTxn<Base> {
    public:
-    Txn() = default;
-    ~Txn() override = default;
-
+    // A decided State[Tk] overrides what the owner itself knows.
     core::TxStatus status() const override {
       switch (desc_->state.peek()) {
         case Vote::kCommitted: return core::TxStatus::kCommitted;
         case Vote::kAborted: return core::TxStatus::kAborted;
         case Vote::kNone: break;
       }
-      return local_status_;
+      return this->status_;
     }
-    core::TxId id() const override { return desc_->id; }
 
    private:
     friend class Foctm;
     TxDesc* desc_ = nullptr;
     std::vector<core::TVarId> wset_;
-    // A pooled descriptor is born finished; prepare() arms it.
-    core::TxStatus local_status_ = core::TxStatus::kAborted;
   };
-
-  using Session = core::PooledTmSession<Txn>;
 
   Foctm(std::size_t num_tvars, FoctmOptions options = {})
       : options_(options), num_tvars_(num_tvars) {
@@ -141,34 +133,18 @@ class Foctm final : public core::TransactionalMemory,
     }
   }
 
-  core::TmSession& this_thread_session() override {
-    return session(P::thread_id());
-  }
-
-  core::Transaction& begin(core::TmSession& session) override {
-    Txn& tx = static_cast<Session&>(session).hot();
-    prepare(tx);
-    return tx;
-  }
-
-  core::TxnPtr begin() override {
-    Txn& tx = static_cast<Session&>(session(P::thread_id())).checkout();
-    prepare(tx);
-    return core::TxnPtr(&tx);
-  }
-
   std::optional<core::Value> read(core::Transaction& t,
                                   core::TVarId x) override {
-    auto& tx = txn_cast(t);
-    reads_.add();
-    if (tx.local_status_ != core::TxStatus::kActive) return std::nullopt;
+    auto& tx = this->txn_cast(t);
+    this->reads_.add();
+    if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
     return acquire(tx, x);  // line 2: return acquire(Tk, x)
   }
 
   bool write(core::Transaction& t, core::TVarId x, core::Value v) override {
-    auto& tx = txn_cast(t);
-    writes_.add();
-    if (tx.local_status_ != core::TxStatus::kActive) return false;
+    auto& tx = this->txn_cast(t);
+    this->writes_.add();
+    if (tx.status_ != core::TxStatus::kActive) return false;
     const auto s = acquire(tx, x);          // line 4
     if (!s.has_value()) return false;       // line 5
     tx.desc_->set_tval(x, v);               // line 6: TVar[x, Tk] <- v
@@ -176,28 +152,28 @@ class Foctm final : public core::TransactionalMemory,
   }
 
   bool try_commit(core::Transaction& t) override {
-    auto& tx = txn_cast(t);
-    if (tx.local_status_ != core::TxStatus::kActive) return false;
+    auto& tx = this->txn_cast(t);
+    if (tx.status_ != core::TxStatus::kActive) return false;
     const auto s = tx.desc_->state.propose(Vote::kCommitted);  // line 31
     if (s.has_value() && *s == Vote::kCommitted) {             // line 32
-      tx.local_status_ = core::TxStatus::kCommitted;
-      commits_.add();
+      tx.status_ = core::TxStatus::kCommitted;
+      this->commits_.add();
       return true;
     }
     // ⊥ (propose aborted under contention) or someone voted us aborted.
-    tx.local_status_ = core::TxStatus::kAborted;
-    count_forced_abort(obs::AbortReason::kCmKill);
+    tx.status_ = core::TxStatus::kAborted;
+    this->count_forced_abort(obs::AbortReason::kCmKill);
     return false;  // line 33
   }
 
   void try_abort(core::Transaction& t) override {
-    auto& tx = txn_cast(t);
-    if (tx.local_status_ != core::TxStatus::kActive) return;
+    auto& tx = this->txn_cast(t);
+    if (tx.status_ != core::TxStatus::kActive) return;
     // Lines 34-35: just return A_k. The undecided State is resolved to
     // `aborted` by the next transaction that meets one of our ownerships;
     // only we could ever propose `committed`, and we never will.
-    tx.local_status_ = core::TxStatus::kAborted;
-    count_requested_abort();
+    tx.status_ = core::TxStatus::kAborted;
+    this->count_requested_abort();
   }
 
   std::size_t num_tvars() const override { return num_tvars_; }
@@ -223,8 +199,6 @@ class Foctm final : public core::TransactionalMemory,
     return std::string("foctm[") + FocPolicy::kName +
            (options_.use_hints ? ",hinted]" : ",faithful]");
   }
-  runtime::TxStats stats() const override { return collect_stats(); }
-  void reset_stats() override { reset_collect_stats(); }
 
   // Base-object addresses for the DAP instrumentation: a transaction's
   // State object is the shared location Theorem 13's proof pivots on.
@@ -232,13 +206,9 @@ class Foctm final : public core::TransactionalMemory,
     return &static_cast<const Txn&>(t).desc_->state;
   }
 
- protected:
-  std::unique_ptr<core::TmSession> make_session(
-      core::ThreadSlot slot) override {
-    return std::make_unique<Session>(slot);
-  }
-
  private:
+  friend Base;
+
   static constexpr std::size_t kSegSize = 16;
 
   struct Segment {
@@ -261,27 +231,27 @@ class Foctm final : public core::TransactionalMemory,
     std::vector<std::unique_ptr<TxDesc>> descs;
   };
 
-  static Txn& txn_cast(core::Transaction& t) { return static_cast<Txn&>(t); }
-
   // Re-arm a pooled descriptor. The wrapper (write-set vector) is reused;
   // the TxDesc must be fresh per transaction and lives forever — Owner
   // chains reference it indefinitely, the paper's unbounded-memory caveat
   // (footnote 6). Descriptors are owned by per-thread pools and released
   // at TM destruction.
-  void prepare(Txn& tx) {
-    obs_tx_begin();
+  void prepare(Txn& tx, core::TxId id) {
     auto desc = std::make_unique<TxDesc>();
-    desc->id = next_tx_id();
+    tx.id_ = id;
     tx.desc_ = desc.get();
     pools_[static_cast<std::size_t>(P::thread_id())]->descs.push_back(
         std::move(desc));
     tx.wset_.clear();
-    tx.local_status_ = core::TxStatus::kActive;
+    tx.status_ = core::TxStatus::kActive;
   }
 
-  static core::TxId next_tx_id() {
-    thread_local std::uint64_t counter = 0;
-    return core::make_tx_id(P::thread_id(), ++counter);
+  // An abandoned transaction ends like a requested abort (lines 34-35),
+  // uncounted: only its owner could ever propose `committed`.
+  void finish(Txn& tx) noexcept {
+    if (tx.status_ == core::TxStatus::kActive) {
+      tx.status_ = core::TxStatus::kAborted;
+    }
   }
 
   OwnerFoc& slot(TVarState& var, std::size_t version) {
@@ -314,7 +284,7 @@ class Foctm final : public core::TransactionalMemory,
 
     bool in_wset = false;
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kReadLookup);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kReadLookup);
       for (core::TVarId w : tx.wset_) {
         if (w == x) {
           in_wset = true;
@@ -327,7 +297,7 @@ class Foctm final : public core::TransactionalMemory,
       // The version walk doubles as ownership acquisition (lines 13-23):
       // attribute it to the commit-lock phase like the other backends'
       // acquire loops.
-      OFTM_OBS_PHASE(obs_, obs::Phase::kCommitLock);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kCommitLock);
       std::size_t version = 1;                         // line 10
       state = 0;                                       // line 11 (initial)
       if (options_.use_hints) {
@@ -377,8 +347,8 @@ class Foctm final : public core::TransactionalMemory,
 
   std::optional<core::Value> forced_abort(Txn& tx, obs::AbortReason reason,
                                           std::uint64_t key = obs::kNoKey) {
-    tx.local_status_ = core::TxStatus::kAborted;
-    count_forced_abort(reason, key);
+    tx.status_ = core::TxStatus::kAborted;
+    this->count_forced_abort(reason, key);
     return std::nullopt;
   }
 

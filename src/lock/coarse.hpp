@@ -22,78 +22,38 @@
 namespace oftm::lock {
 
 template <typename P>
-class Coarse final : public core::TransactionalMemory,
-                     private core::TmStatsMixin {
+class Coarse final : public core::PooledTm<Coarse<P>, P> {
+  using Base = core::PooledTm<Coarse, P>;
   template <typename T>
   using Atomic = typename P::template Atomic<T>;
 
  public:
-  class Txn final : public core::Transaction {
-   public:
-    Txn() = default;
-    ~Txn() override = default;
-    core::TxStatus status() const override { return status_; }
-    core::TxId id() const override { return id_; }
-
+  class Txn final : public core::StatusTxn<Base> {
    private:
     friend class Coarse;
     struct Undo {
       core::TVarId x;
       core::Value old_value;
     };
-
-    // A handle abandoned while active still holds the global lock: roll
-    // back its in-place writes and release, or the world stays halted.
-    void handle_released() noexcept override {
-      if (tm_ != nullptr && status_ == core::TxStatus::kActive) {
-        tm_->undo_writes(*this);
-        status_ = core::TxStatus::kAborted;  // completed, not counted
-        tm_->release(*this);
-      }
-      core::Transaction::handle_released();
-    }
-
-    Coarse* tm_ = nullptr;
-    core::TxId id_ = 0;
-    // A pooled descriptor is born finished; prepare() arms it.
-    core::TxStatus status_ = core::TxStatus::kAborted;
     std::vector<Undo> undo_;
   };
-
-  using Session = core::PooledTmSession<Txn>;
 
   explicit Coarse(std::size_t num_tvars) : num_tvars_(num_tvars) {
     values_ = std::make_unique<Atomic<core::Value>[]>(num_tvars);
   }
 
-  core::TmSession& this_thread_session() override {
-    return session(P::thread_id());
-  }
-
-  core::Transaction& begin(core::TmSession& session) override {
-    Txn& tx = static_cast<Session&>(session).hot();
-    prepare(tx);
-    return tx;
-  }
-
-  core::TxnPtr begin() override {
-    Txn& tx = static_cast<Session&>(session(P::thread_id())).checkout();
-    prepare(tx);
-    return core::TxnPtr(&tx);
-  }
-
   std::optional<core::Value> read(core::Transaction& t,
                                   core::TVarId x) override {
-    auto& tx = txn_cast(t);
-    reads_.add();
+    auto& tx = this->txn_cast(t);
+    this->reads_.add();
     OFTM_ASSERT(x < num_tvars_);
     if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
     return values_[x].load(std::memory_order_relaxed);
   }
 
   bool write(core::Transaction& t, core::TVarId x, core::Value v) override {
-    auto& tx = txn_cast(t);
-    writes_.add();
+    auto& tx = this->txn_cast(t);
+    this->writes_.add();
     OFTM_ASSERT(x < num_tvars_);
     if (tx.status_ != core::TxStatus::kActive) return false;
     // In-place update with undo log (rolled back on abort).
@@ -103,24 +63,22 @@ class Coarse final : public core::TransactionalMemory,
   }
 
   bool try_commit(core::Transaction& t) override {
-    auto& tx = txn_cast(t);
+    auto& tx = this->txn_cast(t);
     if (tx.status_ != core::TxStatus::kActive) return false;
     tx.status_ = core::TxStatus::kCommitted;
-    release(tx);
-    commits_.add();
+    release();
+    this->commits_.add();
     return true;
   }
 
   void try_abort(core::Transaction& t) override {
-    auto& tx = txn_cast(t);
+    auto& tx = this->txn_cast(t);
     if (tx.status_ != core::TxStatus::kActive) return;
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kWriteBack);
-      undo_writes(tx);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kWriteBack);
+      finish(tx);
     }
-    tx.status_ = core::TxStatus::kAborted;
-    release(tx);
-    count_requested_abort();
+    this->count_requested_abort();
   }
 
   std::size_t num_tvars() const override { return num_tvars_; }
@@ -128,60 +86,44 @@ class Coarse final : public core::TransactionalMemory,
     return values_[x].load(std::memory_order_acquire);
   }
   std::string name() const override { return "coarse"; }
-  runtime::TxStats stats() const override { return collect_stats(); }
-  void reset_stats() override { reset_collect_stats(); }
-
- protected:
-  std::unique_ptr<core::TmSession> make_session(
-      core::ThreadSlot slot) override {
-    return std::make_unique<Session>(slot);
-  }
 
  private:
-  static Txn& txn_cast(core::Transaction& t) { return static_cast<Txn&>(t); }
-
-  static core::TxId next_tx_id() {
-    thread_local std::uint64_t counter = 0;
-    return core::make_tx_id(P::thread_id(), ++counter);
-  }
+  friend Base;
 
   // Re-arm a pooled descriptor and take the global TTAS lock; transactions
-  // execute one at a time. A hot-tier predecessor abandoned while active
-  // still holds the lock (on this very thread) — finish it first or the
-  // acquisition below would self-deadlock.
-  void prepare(Txn& tx) {
-    obs_tx_begin();
-    if (tx.tm_ != nullptr && tx.status_ == core::TxStatus::kActive) {
-      undo_writes(tx);
-      tx.status_ = core::TxStatus::kAborted;  // completed, not counted
-      release(tx);
-    }
-    tx.tm_ = this;
-    tx.id_ = next_tx_id();
+  // execute one at a time.
+  void prepare(Txn& tx, core::TxId id) {
+    tx.id_ = id;
     tx.undo_.clear();
     typename P::Backoff backoff;
-    OFTM_OBS_PHASE(obs_, obs::Phase::kCommitLock);
+    OFTM_OBS_PHASE(this->obs_, obs::Phase::kCommitLock);
     for (;;) {
       bool expected = false;
       if (lock_.value.compare_exchange_strong(expected, true,
                                               std::memory_order_acq_rel)) {
         break;
       }
-      cm_backoffs_.add();
-      OFTM_OBS_PHASE(obs_, obs::Phase::kBackoff);
+      this->cm_backoffs_.add();
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kBackoff);
       backoff.pause();
     }
     tx.status_ = core::TxStatus::kActive;
   }
 
-  void undo_writes(Txn& tx) {
+  // Roll back the in-place writes and release the global lock. An
+  // abandoned transaction still holds it: left alone, the world stays
+  // halted, and a hot-tier begin on the same thread would self-deadlock.
+  void finish(Txn& tx) noexcept {
+    if (tx.status_ != core::TxStatus::kActive) return;
     for (auto it = tx.undo_.rbegin(); it != tx.undo_.rend(); ++it) {
       values_[it->x].store(it->old_value, std::memory_order_relaxed);
     }
     tx.undo_.clear();
+    tx.status_ = core::TxStatus::kAborted;
+    release();
   }
 
-  void release(Txn&) { lock_.value.store(false, std::memory_order_release); }
+  void release() { lock_.value.store(false, std::memory_order_release); }
 
   const std::size_t num_tvars_;
   std::unique_ptr<Atomic<core::Value>[]> values_;

@@ -35,18 +35,13 @@ struct TlOptions {
 };
 
 template <typename P>
-class Tl final : public core::TransactionalMemory, private core::TmStatsMixin {
+class Tl final : public core::PooledTm<Tl<P>, P> {
+  using Base = core::PooledTm<Tl, P>;
   template <typename T>
   using Atomic = typename P::template Atomic<T>;
 
  public:
-  class Txn final : public core::Transaction {
-   public:
-    Txn() = default;
-    ~Txn() override = default;
-    core::TxStatus status() const override { return status_; }
-    core::TxId id() const override { return id_; }
-
+  class Txn final : public core::StatusTxn<Base> {
    private:
     friend class Tl;
     struct ReadEntry {
@@ -59,55 +54,24 @@ class Tl final : public core::TransactionalMemory, private core::TmStatsMixin {
       core::Value value;
     };
 
-    // An abandoned handle must not leave encounter-time locks behind.
-    void handle_released() noexcept override {
-      if (tm_ != nullptr && status_ == core::TxStatus::kActive) {
-        tm_->rollback(*this);
-        status_ = core::TxStatus::kAborted;  // completed, not counted
-      }
-      core::Transaction::handle_released();
-    }
-
-    Tl* tm_ = nullptr;
-    core::TxId id_ = 0;
-    // A pooled descriptor is born finished; prepare() arms it.
-    core::TxStatus status_ = core::TxStatus::kAborted;
     std::vector<ReadEntry> reads_;
     std::vector<WriteEntry> writes_;
   };
-
-  using Session = core::PooledTmSession<Txn>;
 
   explicit Tl(std::size_t num_tvars, TlOptions options = {})
       : options_(options), num_tvars_(num_tvars) {
     slots_ = std::make_unique<Slot[]>(num_tvars);
   }
 
-  core::TmSession& this_thread_session() override {
-    return session(P::thread_id());
-  }
-
-  core::Transaction& begin(core::TmSession& session) override {
-    Txn& tx = static_cast<Session&>(session).hot();
-    prepare(tx);
-    return tx;
-  }
-
-  core::TxnPtr begin() override {
-    Txn& tx = static_cast<Session&>(session(P::thread_id())).checkout();
-    prepare(tx);
-    return core::TxnPtr(&tx);
-  }
-
   std::optional<core::Value> read(core::Transaction& t,
                                   core::TVarId x) override {
-    auto& tx = txn_cast(t);
-    reads_.add();
+    auto& tx = this->txn_cast(t);
+    this->reads_.add();
     OFTM_ASSERT(x < num_tvars_);
     if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
 
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kReadLookup);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kReadLookup);
       for (const auto& w : tx.writes_) {
         if (w.x == x) return w.value;
       }
@@ -151,15 +115,15 @@ class Tl final : public core::TransactionalMemory, private core::TmStatsMixin {
         rollback_abort(tx, obs::AbortReason::kLockTimeout, x);
         return std::nullopt;
       }
-      cm_backoffs_.add();
-      OFTM_OBS_PHASE(obs_, obs::Phase::kBackoff);
+      this->cm_backoffs_.add();
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kBackoff);
       backoff.pause();
     }
   }
 
   bool write(core::Transaction& t, core::TVarId x, core::Value v) override {
-    auto& tx = txn_cast(t);
-    writes_.add();
+    auto& tx = this->txn_cast(t);
+    this->writes_.add();
     OFTM_ASSERT(x < num_tvars_);
     if (tx.status_ != core::TxStatus::kActive) return false;
 
@@ -172,7 +136,7 @@ class Tl final : public core::TransactionalMemory, private core::TmStatsMixin {
 
     typename P::Backoff backoff;
     Slot& s = slots_[x];
-    OFTM_OBS_PHASE(obs_, obs::Phase::kCommitLock);
+    OFTM_OBS_PHASE(this->obs_, obs::Phase::kCommitLock);
     for (int spin = 0;; ++spin) {
       std::uint64_t w1 = s.lock.load(std::memory_order_acquire);
       if (!LockWord::locked(w1)) {
@@ -201,14 +165,14 @@ class Tl final : public core::TransactionalMemory, private core::TmStatsMixin {
         rollback_abort(tx, obs::AbortReason::kLockTimeout, x);
         return false;
       }
-      cm_backoffs_.add();
-      OFTM_OBS_PHASE(obs_, obs::Phase::kBackoff);
+      this->cm_backoffs_.add();
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kBackoff);
       backoff.pause();
     }
   }
 
   bool try_commit(core::Transaction& t) override {
-    auto& tx = txn_cast(t);
+    auto& tx = this->txn_cast(t);
     if (tx.status_ != core::TxStatus::kActive) return false;
     if (!validate(tx)) {
       rollback_abort(tx, obs::AbortReason::kReadValidation);
@@ -216,7 +180,7 @@ class Tl final : public core::TransactionalMemory, private core::TmStatsMixin {
     }
     // Write back and release: bump each version (2PL shrink phase).
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kWriteBack);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kWriteBack);
       for (const auto& w : tx.writes_) {
         Slot& s = slots_[w.x];
         s.value.store(w.value, std::memory_order_relaxed);
@@ -225,16 +189,15 @@ class Tl final : public core::TransactionalMemory, private core::TmStatsMixin {
       }
     }
     tx.status_ = core::TxStatus::kCommitted;
-    commits_.add();
+    this->commits_.add();
     return true;
   }
 
   void try_abort(core::Transaction& t) override {
-    auto& tx = txn_cast(t);
+    auto& tx = this->txn_cast(t);
     if (tx.status_ != core::TxStatus::kActive) return;
-    rollback(tx);
-    tx.status_ = core::TxStatus::kAborted;
-    count_requested_abort();
+    finish(tx);
+    this->count_requested_abort();
   }
 
   std::size_t num_tvars() const override { return num_tvars_; }
@@ -244,45 +207,36 @@ class Tl final : public core::TransactionalMemory, private core::TmStatsMixin {
   }
 
   std::string name() const override { return "tl"; }
-  runtime::TxStats stats() const override { return collect_stats(); }
-  void reset_stats() override { reset_collect_stats(); }
-
- protected:
-  std::unique_ptr<core::TmSession> make_session(
-      core::ThreadSlot slot) override {
-    return std::make_unique<Session>(slot);
-  }
 
  private:
+  friend Base;
+
   struct alignas(runtime::kCacheLineSize) Slot {
     Atomic<std::uint64_t> lock{LockWord::pack(0, false)};
     Atomic<core::Value> value{0};
   };
 
-  static Txn& txn_cast(core::Transaction& t) { return static_cast<Txn&>(t); }
-
-  // Re-arm a pooled descriptor. A hot-tier predecessor abandoned while
-  // active still holds its encounter-time locks — release them first
-  // (rollback is idempotent: it clears the write set it walks).
-  void prepare(Txn& tx) {
-    obs_tx_begin();
-    if (tx.tm_ != nullptr && tx.status_ == core::TxStatus::kActive) {
-      rollback(tx);
-    }
-    tx.tm_ = this;
-    tx.id_ = next_tx_id();
+  void prepare(Txn& tx, core::TxId id) {
+    tx.id_ = id;
     tx.status_ = core::TxStatus::kActive;
     tx.reads_.clear();
     tx.writes_.clear();
   }
 
-  static core::TxId next_tx_id() {
-    thread_local std::uint64_t counter = 0;
-    return core::make_tx_id(P::thread_id(), ++counter);
+  // Release every encounter-time lock without publishing values. An
+  // abandoned transaction must not leave them behind either.
+  void finish(Txn& tx) noexcept {
+    if (tx.status_ != core::TxStatus::kActive) return;
+    for (const auto& w : tx.writes_) {
+      slots_[w.x].lock.store(LockWord::pack(w.base_version, false),
+                             std::memory_order_release);
+    }
+    tx.writes_.clear();
+    tx.status_ = core::TxStatus::kAborted;
   }
 
   bool validate(Txn& tx) {
-    OFTM_OBS_PHASE(obs_, obs::Phase::kValidation);
+    OFTM_OBS_PHASE(this->obs_, obs::Phase::kValidation);
     for (const auto& r : tx.reads_) {
       bool own = false;
       for (const auto& w : tx.writes_) {
@@ -301,20 +255,10 @@ class Tl final : public core::TransactionalMemory, private core::TmStatsMixin {
     return true;
   }
 
-  // Release every encounter-time lock without publishing values.
-  void rollback(Txn& tx) {
-    for (const auto& w : tx.writes_) {
-      slots_[w.x].lock.store(LockWord::pack(w.base_version, false),
-                             std::memory_order_release);
-    }
-    tx.writes_.clear();
-  }
-
   void rollback_abort(Txn& tx, obs::AbortReason reason,
                       std::uint64_t key = obs::kNoKey) {
-    rollback(tx);
-    tx.status_ = core::TxStatus::kAborted;
-    count_forced_abort(reason, key);
+    finish(tx);
+    this->count_forced_abort(reason, key);
   }
 
   const TlOptions options_;

@@ -48,14 +48,15 @@ struct Tl2Options {
 // Not final (Tl2Region derives to add the word tier); the operations are,
 // so calls through a concrete Tl2 still devirtualize.
 template <typename A>
-class Tl2 : public core::TransactionalMemory, private core::TmStatsMixin {
+class Tl2 : public core::PooledTm<Tl2<A>, typename A::Platform> {
+  using Base = core::PooledTm<Tl2, typename A::Platform>;
   using P = typename A::Platform;
   using Loc = typename A::Loc;
   template <typename T>
   using Atomic = typename P::template Atomic<T>;
 
  public:
-  class Txn final : public core::AddressedTxn<typename A::TxLog> {
+  class Txn final : public core::AddressedTxn<Base, typename A::TxLog> {
    private:
     friend class Tl2;
     struct ReadEntry {
@@ -78,8 +79,6 @@ class Tl2 : public core::TransactionalMemory, private core::TmStatsMixin {
     std::vector<std::uint64_t> lock_versions_;
   };
 
-  using Session = core::PooledTmSession<Txn>;
-
   explicit Tl2(std::size_t num_tvars, Tl2Options options = {},
                typename A::Options layout = {})
       : options_(options), mem_(num_tvars, layout) {}
@@ -87,38 +86,21 @@ class Tl2 : public core::TransactionalMemory, private core::TmStatsMixin {
   A& memory() noexcept { return mem_; }
   const A& memory() const noexcept { return mem_; }
 
-  core::TmSession& this_thread_session() final {
-    return this->session(P::thread_id());
-  }
-
-  core::Transaction& begin(core::TmSession& session) final {
-    Txn& tx = static_cast<Session&>(session).hot();
-    prepare(tx);
-    return tx;
-  }
-
-  core::TxnPtr begin() final {
-    Txn& tx =
-        static_cast<Session&>(this->session(P::thread_id())).checkout();
-    prepare(tx);
-    return core::TxnPtr(&tx);
-  }
-
   std::optional<core::Value> read(core::Transaction& t,
                                   core::TVarId x) final {
-    return read_at(txn_cast(t), mem_.loc(x));
+    return read_at(this->txn_cast(t), mem_.loc(x));
   }
 
   bool write(core::Transaction& t, core::TVarId x, core::Value v) final {
-    return write_at(txn_cast(t), mem_.loc(x), v);
+    return write_at(this->txn_cast(t), mem_.loc(x), v);
   }
 
   std::optional<core::Value> read_at(Txn& tx, Loc loc) {
-    reads_.add();
+    this->reads_.add();
     if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
 
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kReadLookup);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kReadLookup);
       if (!tx.writes_.empty()) {
         if (const core::Value* w = tx.writes_.find(loc)) return *w;
       }
@@ -148,7 +130,7 @@ class Tl2 : public core::TransactionalMemory, private core::TmStatsMixin {
   }
 
   bool write_at(Txn& tx, Loc loc, core::Value v) {
-    writes_.add();
+    this->writes_.add();
     if (tx.status_ != core::TxStatus::kActive) return false;
     if (tx.log_.owns(loc)) {
       // Private block: write in place, no redo log, no commit-time lock.
@@ -160,7 +142,7 @@ class Tl2 : public core::TransactionalMemory, private core::TmStatsMixin {
   }
 
   bool try_commit(core::Transaction& t) final {
-    auto& tx = txn_cast(t);
+    auto& tx = this->txn_cast(t);
     if (tx.status_ != core::TxStatus::kActive) return false;
 
     // Read-only fast path: every read was validated against rv at read
@@ -187,7 +169,7 @@ class Tl2 : public core::TransactionalMemory, private core::TmStatsMixin {
     base.clear();
     typename P::Backoff backoff;
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kCommitLock);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kCommitLock);
       for (const auto& e : cs) {
         if (!locked.empty() && locked.back() == e.key) continue;
         auto& lock = mem_.meta(e.key);
@@ -209,8 +191,8 @@ class Tl2 : public core::TransactionalMemory, private core::TmStatsMixin {
             abort_forced(tx, obs::AbortReason::kLockTimeout, e.key);
             return false;
           }
-          cm_backoffs_.add();
-          OFTM_OBS_PHASE(obs_, obs::Phase::kBackoff);
+          this->cm_backoffs_.add();
+          OFTM_OBS_PHASE(this->obs_, obs::Phase::kBackoff);
           backoff.pause();
         }
       }
@@ -223,7 +205,7 @@ class Tl2 : public core::TransactionalMemory, private core::TmStatsMixin {
     // Validate the read set unless nobody could have committed in between.
     // A lock this transaction holds may appear locked.
     if (tx.rv_ + 1 != wv) {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kValidation);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kValidation);
       for (const auto& r : tx.reads_) {
         const bool own =
             std::binary_search(locked.begin(), locked.end(), r.key);
@@ -240,7 +222,7 @@ class Tl2 : public core::TransactionalMemory, private core::TmStatsMixin {
     // For each lock: write back its words, then release it with the
     // commit version.
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kWriteBack);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kWriteBack);
       std::size_t i = 0;
       for (const std::uint32_t key : locked) {
         for (; i < cs.size() && cs[i].key == key; ++i) {
@@ -255,10 +237,10 @@ class Tl2 : public core::TransactionalMemory, private core::TmStatsMixin {
   }
 
   void try_abort(core::Transaction& t) final {
-    auto& tx = txn_cast(t);
+    auto& tx = this->txn_cast(t);
     if (tx.status_ != core::TxStatus::kActive) return;
     tx.roll_back();
-    count_requested_abort();
+    this->count_requested_abort();
   }
 
   std::size_t num_tvars() const final { return mem_.num_tvars(); }
@@ -269,48 +251,37 @@ class Tl2 : public core::TransactionalMemory, private core::TmStatsMixin {
     return std::string("tl2") + A::kNameSuffix +
            (options_.rv_extension ? "+ext" : "");
   }
-  runtime::TxStats stats() const final { return collect_stats(); }
-  void reset_stats() final { reset_collect_stats(); }
-
- protected:
-  std::unique_ptr<core::TmSession> make_session(
-      core::ThreadSlot slot) final {
-    return std::make_unique<Session>(slot);
-  }
-
-  static Txn& txn_cast(core::Transaction& t) { return static_cast<Txn&>(t); }
 
  private:
-  // Re-arm a pooled descriptor; set capacity survives. A predecessor left
-  // active is abandoned first.
-  void prepare(Txn& tx) {
-    obs_tx_begin();
-    if (tx.status_ == core::TxStatus::kActive) tx.roll_back();
+  friend Base;
+
+  // Re-arm a pooled descriptor; set capacity survives.
+  void prepare(Txn& tx, core::TxId id) {
     mem_.begin(tx.log_);
     // The shared-clock read that makes TL2 non-strictly-DAP.
     tx.rv_ = clock_.value.load(std::memory_order_acquire);
-    tx.id_ = next_tx_id();
+    tx.id_ = id;
     tx.status_ = core::TxStatus::kActive;
     tx.reads_.clear();
     tx.writes_.clear();
   }
 
+  // Nothing is locked between operations: only the log needs giving back.
+  void finish(Txn& tx) noexcept {
+    if (tx.status_ == core::TxStatus::kActive) tx.roll_back();
+  }
+
   void finish_commit(Txn& tx) {
     tx.log_.commit();
     tx.status_ = core::TxStatus::kCommitted;
-    commits_.add();
-  }
-
-  static core::TxId next_tx_id() {
-    thread_local std::uint64_t counter = 0;
-    return core::make_tx_id(P::thread_id(), ++counter);
+    this->commits_.add();
   }
 
   // rv extension: sound iff every recorded read is still current at the
   // *new* clock value — the snapshot simply turns out to be fresher than
   // first assumed.
   bool try_extend(Txn& tx) {
-    OFTM_OBS_PHASE(obs_, obs::Phase::kValidation);
+    OFTM_OBS_PHASE(this->obs_, obs::Phase::kValidation);
     const std::uint64_t new_rv = clock_.value.load(std::memory_order_acquire);
     if (new_rv <= tx.rv_) return false;
     for (const auto& r : tx.reads_) {
@@ -334,7 +305,7 @@ class Tl2 : public core::TransactionalMemory, private core::TmStatsMixin {
 
   void abort_forced(Txn& tx, obs::AbortReason reason, std::uint64_t key) {
     tx.roll_back();
-    count_forced_abort(reason, key);
+    this->count_forced_abort(reason, key);
   }
 
   const Tl2Options options_;

@@ -63,14 +63,15 @@ inline constexpr std::uint64_t bloom_mask(std::uint64_t key) noexcept {
 // Not final (NorecRegion derives to add the word tier); the operations
 // are, so calls through a concrete Norec still devirtualize.
 template <typename A>
-class Norec : public core::TransactionalMemory, private core::TmStatsMixin {
+class Norec : public core::PooledTm<Norec<A>, typename A::Platform> {
+  using Base = core::PooledTm<Norec, typename A::Platform>;
   using P = typename A::Platform;
   using Loc = typename A::Loc;
   template <typename T>
   using Atomic = typename P::template Atomic<T>;
 
  public:
-  class Txn final : public core::AddressedTxn<typename A::TxLog> {
+  class Txn final : public core::AddressedTxn<Base, typename A::TxLog> {
    private:
     friend class Norec;
     struct ReadEntry {
@@ -84,8 +85,6 @@ class Norec : public core::TransactionalMemory, private core::TmStatsMixin {
     std::uint64_t write_filter_ = 0;
   };
 
-  using Session = core::PooledTmSession<Txn>;
-
   explicit Norec(std::size_t num_tvars, NorecOptions options = {},
                  typename A::Options layout = {})
       : options_(options), mem_(num_tvars, layout) {}
@@ -93,40 +92,23 @@ class Norec : public core::TransactionalMemory, private core::TmStatsMixin {
   A& memory() noexcept { return mem_; }
   const A& memory() const noexcept { return mem_; }
 
-  core::TmSession& this_thread_session() final {
-    return this->session(P::thread_id());
-  }
-
-  core::Transaction& begin(core::TmSession& session) final {
-    Txn& tx = static_cast<Session&>(session).hot();
-    prepare(tx);
-    return tx;
-  }
-
-  core::TxnPtr begin() final {
-    Txn& tx =
-        static_cast<Session&>(this->session(P::thread_id())).checkout();
-    prepare(tx);
-    return core::TxnPtr(&tx);
-  }
-
   std::optional<core::Value> read(core::Transaction& t,
                                   core::TVarId x) final {
-    return read_at(txn_cast(t), mem_.loc(x));
+    return read_at(this->txn_cast(t), mem_.loc(x));
   }
 
   bool write(core::Transaction& t, core::TVarId x, core::Value v) final {
-    return write_at(txn_cast(t), mem_.loc(x), v);
+    return write_at(this->txn_cast(t), mem_.loc(x), v);
   }
 
   std::optional<core::Value> read_at(Txn& tx, Loc loc) {
-    reads_.add();
+    this->reads_.add();
     if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
 
     // Read-your-own-writes from the redo log. With the Bloom ablation a
     // definite filter miss skips the probe.
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kReadLookup);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kReadLookup);
       if (!tx.writes_.empty() &&
           (!options_.bloom_reads ||
            (tx.write_filter_ & bloom_mask(core::location_key(loc))) ==
@@ -157,7 +139,7 @@ class Norec : public core::TransactionalMemory, private core::TmStatsMixin {
   }
 
   bool write_at(Txn& tx, Loc loc, core::Value v) {
-    writes_.add();
+    this->writes_.add();
     if (tx.status_ != core::TxStatus::kActive) return false;
     if (tx.log_.owns(loc)) {
       mem_.store(loc, v, std::memory_order_relaxed);
@@ -169,7 +151,7 @@ class Norec : public core::TransactionalMemory, private core::TmStatsMixin {
   }
 
   bool try_commit(core::Transaction& t) final {
-    auto& tx = txn_cast(t);
+    auto& tx = this->txn_cast(t);
     if (tx.status_ != core::TxStatus::kActive) return false;
 
     // Read-only fast path: every read was validated against snapshot_ at
@@ -186,10 +168,10 @@ class Norec : public core::TransactionalMemory, private core::TmStatsMixin {
     // retry from the newer snapshot.
     std::uint64_t s = tx.snapshot_;
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kCommitLock);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kCommitLock);
       while (!seqlock_.value.compare_exchange_strong(
           s, s + 1, std::memory_order_seq_cst)) {
-        cm_backoffs_.add();
+        this->cm_backoffs_.add();
         std::uint64_t culprit = obs::kNoKey;
         if (!revalidate(tx, &culprit)) {
           // The seqlock moved (a concurrent commit) and the read set no
@@ -205,7 +187,7 @@ class Norec : public core::TransactionalMemory, private core::TmStatsMixin {
     // even value. A stall here blocks everyone — the obstruction-freedom
     // trade this backend exists to quantify.
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kWriteBack);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kWriteBack);
       tx.writes_.for_each([&](Loc loc, core::Value v) {
         mem_.store(loc, v, std::memory_order_seq_cst);
       });
@@ -216,10 +198,10 @@ class Norec : public core::TransactionalMemory, private core::TmStatsMixin {
   }
 
   void try_abort(core::Transaction& t) final {
-    auto& tx = txn_cast(t);
+    auto& tx = this->txn_cast(t);
     if (tx.status_ != core::TxStatus::kActive) return;
     tx.roll_back();
-    count_requested_abort();
+    this->count_requested_abort();
   }
 
   std::size_t num_tvars() const final { return mem_.num_tvars(); }
@@ -230,23 +212,13 @@ class Norec : public core::TransactionalMemory, private core::TmStatsMixin {
     return std::string("norec") + A::kNameSuffix +
            (options_.bloom_reads ? "+bloom" : "");
   }
-  runtime::TxStats stats() const final { return collect_stats(); }
-  void reset_stats() final { reset_collect_stats(); }
-
- protected:
-  std::unique_ptr<core::TmSession> make_session(
-      core::ThreadSlot slot) final {
-    return std::make_unique<Session>(slot);
-  }
-
-  static Txn& txn_cast(core::Transaction& t) { return static_cast<Txn&>(t); }
 
  private:
+  friend Base;
+
   // Re-arm a pooled descriptor: read/write-set capacity survives, nothing
-  // allocates. A predecessor left active is abandoned first.
-  void prepare(Txn& tx) {
-    obs_tx_begin();
-    if (tx.status_ == core::TxStatus::kActive) tx.roll_back();
+  // allocates.
+  void prepare(Txn& tx, core::TxId id) {
     mem_.begin(tx.log_);
     // Snapshot an even (quiescent) sequence-lock value. All shared-word
     // accesses in this backend are seq_cst: the correctness argument of the
@@ -258,7 +230,7 @@ class Norec : public core::TransactionalMemory, private core::TmStatsMixin {
       P::pause();
       s = seqlock_.value.load(std::memory_order_seq_cst);
     }
-    tx.id_ = next_tx_id();
+    tx.id_ = id;
     tx.snapshot_ = s;
     tx.status_ = core::TxStatus::kActive;
     tx.reads_.clear();
@@ -266,15 +238,15 @@ class Norec : public core::TransactionalMemory, private core::TmStatsMixin {
     tx.write_filter_ = 0;
   }
 
+  // Nothing is locked between operations: only the log needs giving back.
+  void finish(Txn& tx) noexcept {
+    if (tx.status_ == core::TxStatus::kActive) tx.roll_back();
+  }
+
   void finish_commit(Txn& tx) {
     tx.log_.commit();
     tx.status_ = core::TxStatus::kCommitted;
-    commits_.add();
-  }
-
-  static core::TxId next_tx_id() {
-    thread_local std::uint64_t counter = 0;
-    return core::make_tx_id(P::thread_id(), ++counter);
+    this->commits_.add();
   }
 
   // Value-based revalidation: wait out any in-flight write-back, re-read
@@ -283,7 +255,7 @@ class Norec : public core::TransactionalMemory, private core::TmStatsMixin {
   // reads are consistent *now*, not just at the old time); failure means a
   // conflicting write committed — the only way NOrec ever force-aborts.
   bool revalidate(Txn& tx, std::uint64_t* culprit = nullptr) {
-    OFTM_OBS_PHASE(obs_, obs::Phase::kValidation);
+    OFTM_OBS_PHASE(this->obs_, obs::Phase::kValidation);
     for (;;) {
       std::uint64_t time = seqlock_.value.load(std::memory_order_seq_cst);
       if (time & 1) {
@@ -309,7 +281,7 @@ class Norec : public core::TransactionalMemory, private core::TmStatsMixin {
 
   void abort_forced(Txn& tx, obs::AbortReason reason, std::uint64_t key) {
     tx.roll_back();
-    count_forced_abort(reason, key);
+    this->count_forced_abort(reason, key);
   }
 
   const NorecOptions options_;

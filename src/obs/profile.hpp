@@ -174,7 +174,7 @@ inline AbortReason take_abort_hint() noexcept {
 inline void note_last_abort(AbortReason r) noexcept { detail::tls().last = r; }
 inline AbortReason last_abort_reason() noexcept { return detail::tls().last; }
 
-// --- Per-TM state, embedded in core::TmStatsMixin. ---------------------
+// --- Per-TM state, embedded in core::PooledTm. -------------------------
 
 // Exact per-reason abort counters, striped per thread. All reasons fit
 // one cache line per slot, so the whole table is kMaxThreads lines.

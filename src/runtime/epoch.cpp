@@ -55,19 +55,16 @@ EpochManager::Guard::Guard(EpochManager& mgr)
     : mgr_(mgr), tid_(ThreadRegistry::current_id()) {
   ThreadState& t = mgr_.threads_[tid_];
   const int n = t.nesting.load(std::memory_order_relaxed);
-  outermost_ = (n == 0);
-  if (outermost_) mgr_.pin(tid_);
+  if (n == 0) mgr_.pin(tid_);
   t.nesting.store(n + 1, std::memory_order_relaxed);
 }
 
 EpochManager::Guard::~Guard() {
   ThreadState& t = mgr_.threads_[tid_];
-  const int n = t.nesting.load(std::memory_order_relaxed);
-  t.nesting.store(n - 1, std::memory_order_relaxed);
-  if (outermost_) {
-    OFTM_ASSERT(n == 1);
-    mgr_.unpin(tid_);
-  }
+  const int n = t.nesting.load(std::memory_order_relaxed) - 1;
+  OFTM_ASSERT(n >= 0);
+  t.nesting.store(n, std::memory_order_relaxed);
+  if (n == 0) mgr_.unpin(tid_);
 }
 
 void EpochManager::retire(void* p, void (*deleter)(void*)) {

@@ -43,8 +43,10 @@ class EpochManager {
   // Process-wide instance used by the hardware STM backends.
   static EpochManager& global();
 
-  // RAII read-side critical section. Re-entrant (nested guards share the
-  // outermost pin).
+  // RAII read-side critical section. Re-entrant: a thread's guards share
+  // one pin, taken by the first and dropped by the last to be released,
+  // in any order (one thread may hold several live transactions, each
+  // pinned for its whole active life).
   class Guard {
    public:
     explicit Guard(EpochManager& mgr = EpochManager::global());
@@ -55,7 +57,6 @@ class EpochManager {
    private:
     EpochManager& mgr_;
     int tid_;
-    bool outermost_;
   };
 
   // Hand an unlinked object to the manager; freed after a grace period.

@@ -79,6 +79,30 @@ TEST(Dstm, ReadSetRevalidationAbortsAtNextOpen) {
   EXPECT_FALSE(tm->read(*reader, 1).has_value());  // would be inconsistent
 }
 
+TEST(Dstm, ReclaimedLocatorCannotValidateStaleRead) {
+  // Validation compares locator addresses, so a locator a live transaction
+  // read must not be reclaimed: a later locator on the same slot could
+  // reuse its address, and the stale read would then validate (ABA). The
+  // reader stays pinned between its operations while writers commit over
+  // its read and reclamation runs.
+  auto tm = make();
+  auto& epochs = runtime::EpochManager::global();
+  constexpr int kTrials = 2000;
+  int stale_reads_validated = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    auto reader = tm->begin();
+    ASSERT_TRUE(tm->read(*reader, 0).has_value());
+    for (int w = 0; w < trial % 9 + 1; ++w) {
+      auto writer = tm->begin();
+      ASSERT_TRUE(tm->write(*writer, 0, static_cast<core::Value>(w + 1)));
+      ASSERT_TRUE(tm->try_commit(*writer));
+      for (int pass = 0; pass < 3; ++pass) epochs.reclaim();
+    }
+    if (tm->read(*reader, 1).has_value()) ++stale_reads_validated;
+  }
+  EXPECT_EQ(stale_reads_validated, 0) << "of " << kTrials << " trials";
+}
+
 TEST(Dstm, UpgradeReadToWriteKeepsSnapshot) {
   auto tm = make();
   {

@@ -94,6 +94,17 @@ TEST_P(SessionReuseTest, InterleavedHandlesGetDistinctDescriptors) {
   ASSERT_TRUE(tm_->write(*a, 3, 33));
   tm_->try_abort(*b);
   ASSERT_TRUE(tm_->try_commit(*a));
+
+  // Handles finish in any order: here the older one commits first, while
+  // the younger (pinned on the region and DSTM recipes) is still live.
+  TxnPtr c = tm_->begin();
+  TxnPtr d = tm_->begin();
+  ASSERT_TRUE(tm_->write(*c, 4, 44));
+  ASSERT_TRUE(tm_->write(*d, 5, 55));
+  ASSERT_TRUE(tm_->try_commit(*c));
+  ASSERT_TRUE(tm_->try_commit(*d));
+  EXPECT_EQ(tm_->read_quiescent(4), 44u);
+  EXPECT_EQ(tm_->read_quiescent(5), 55u);
 }
 
 TEST_P(SessionReuseTest, TxIdSequencingSurvivesReuse) {

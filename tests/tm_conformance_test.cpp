@@ -218,7 +218,7 @@ TEST_P(TmConformanceTest, RecordedHistoryIsOpaque) {
 }
 
 // ---------------------------------------------------------------------------
-// Stats plumbing (TmStatsMixin) across every backend.
+// Stats plumbing (core::PooledTm) across every backend.
 // ---------------------------------------------------------------------------
 
 TEST_P(TmConformanceTest, StatsCountersTrackOperationsAndReset) {
