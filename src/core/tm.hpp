@@ -202,7 +202,11 @@ class TransactionalMemory {
   // descriptor (zero allocations after warm-up). At most one transaction
   // per session may be in use at a time: beginning again finishes whatever
   // the previous transaction left behind. The returned reference is valid
-  // until the next begin on the same session.
+  // until the next begin on the same session. A transaction must end on
+  // the thread that began it — by commit, abort, or that thread beginning
+  // the session again — before the session moves to another thread or
+  // the thread exits: DSTM and the region recipes hold that thread's epoch
+  // pin until the transaction ends.
   virtual Transaction& begin(TmSession& session);
 
   // ---- Portability tier ------------------------------------------------

@@ -147,7 +147,9 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
     // The epoch pin, held from prepare until the owner learns the
     // transaction is over. Validation compares locator addresses, so a
     // locator the transaction read must not be reclaimed (and its address
-    // reused) while the transaction can still validate against it.
+    // reused) while the transaction can still validate against it. The
+    // pin is the beginning thread's, so the transaction must end on that
+    // thread, and before it exits (see TransactionalMemory::begin).
     std::optional<typename P::Reclaimer::Guard> pin_;
   };
 

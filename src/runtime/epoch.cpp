@@ -60,6 +60,10 @@ EpochManager::Guard::Guard(EpochManager& mgr)
 }
 
 EpochManager::Guard::~Guard() {
+  // The pin is the building thread's: only that thread touches its
+  // nesting count and pin word.
+  OFTM_ASSERT_MSG(ThreadRegistry::current_id() == tid_,
+                  "epoch guard released on another thread");
   ThreadState& t = mgr_.threads_[tid_];
   const int n = t.nesting.load(std::memory_order_relaxed) - 1;
   OFTM_ASSERT(n >= 0);

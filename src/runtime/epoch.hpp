@@ -46,7 +46,9 @@ class EpochManager {
   // RAII read-side critical section. Re-entrant: a thread's guards share
   // one pin, taken by the first and dropped by the last to be released,
   // in any order (one thread may hold several live transactions, each
-  // pinned for its whole active life).
+  // pinned for its whole active life). A guard must be released on the
+  // thread that built it, and before that thread exits: the pin lives in
+  // the thread's registry slot, which the next thread to register reuses.
   class Guard {
    public:
     explicit Guard(EpochManager& mgr = EpochManager::global());

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 
 #include "cm/managers.hpp"
 #include "core/platform.hpp"
 #include "dstm/dstm.hpp"
 #include "runtime/epoch.hpp"
+#include "tm_conformance.hpp"
 
 namespace oftm::dstm {
 namespace {
@@ -101,6 +103,38 @@ TEST(Dstm, ReclaimedLocatorCannotValidateStaleRead) {
     if (tm->read(*reader, 1).has_value()) ++stale_reads_validated;
   }
   EXPECT_EQ(stale_reads_validated, 0) << "of " << kTrials << " trials";
+}
+
+TEST(Dstm, KilledTransactionOnLeasedSlotUnpinsOnItsOwnThread) {
+  // The session tier leases session slots to any thread. A transaction
+  // another thread's contention manager killed, dropped without a further
+  // operation, must still give up its epoch pin on its own thread: kept,
+  // it stops the global epoch, and the next thread to lease the slot
+  // would release it from the wrong thread.
+  conformance::SessionTierTm tm(make());
+  auto& epochs = runtime::EpochManager::global();
+  std::thread owner([&] {
+    core::TxnPtr victim = tm.begin();
+    ASSERT_TRUE(tm.write(*victim, 0, 1));
+    std::thread([&] {
+      core::TxnPtr killer = tm.begin();
+      ASSERT_TRUE(tm.write(*killer, 0, 2));  // aggressive CM kills victim
+      ASSERT_TRUE(tm.try_commit(*killer));
+    }).join();
+    ASSERT_EQ(victim->status(), core::TxStatus::kAborted);
+    victim.reset();
+    const std::uint64_t before = epochs.epoch();
+    for (int pass = 0; pass < 3; ++pass) epochs.reclaim();
+    EXPECT_GE(epochs.epoch(), before + 2) << "a pin outlived its transaction";
+    // The victim's slot is the next lease: take it on another thread while
+    // this one is still registered.
+    std::thread([&] {
+      core::TxnPtr next = tm.begin();
+      EXPECT_EQ(tm.read(*next, 0).value(), 2u);
+      EXPECT_TRUE(tm.try_commit(*next));
+    }).join();
+  });
+  owner.join();
 }
 
 TEST(Dstm, UpgradeReadToWriteKeepsSnapshot) {

@@ -123,11 +123,13 @@ class SessionTierTm final : public core::TransactionalMemory {
     friend class SessionTierTm;
 
     void handle_released() noexcept override {
-      // An abandoned live transaction must not keep protocol resources
-      // (e.g. coarse's global lock) hostage on a returned slot.
-      if (pooled_.status() == core::TxStatus::kActive) {
-        tm_.inner_->try_abort(pooled_);
-      }
+      // The returned slot's next lease may begin on another thread, so the
+      // transaction ends here, on its own: an abandoned live one must not
+      // keep protocol resources (coarse's global lock) hostage, and one
+      // that another thread killed must still drop its epoch pin (DSTM).
+      // Every backend's try_abort is safe to repeat: on a finished
+      // transaction it counts nothing and only lets go of what is held.
+      tm_.inner_->try_abort(pooled_);
       tm_.return_slot(slot_);
       delete this;
     }
