@@ -12,12 +12,10 @@
 // a property test enforces it (cm_test.cpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
 #include "core/types.hpp"
-#include "obs/taxonomy.hpp"
 
 namespace oftm::cm {
 
@@ -46,22 +44,6 @@ class ContentionManager {
 
   virtual Decision on_conflict(const Conflict& c) = 0;
 
-  // How this manager resolved the conflicts routed through decide():
-  // the kill-attribution view (who dies, and by whose choice) that pairs
-  // with the per-backend kCmKill abort-reason counters.
-  struct DecisionCounts {
-    std::uint64_t aborted_victim = 0;
-    std::uint64_t waited = 0;
-    std::uint64_t aborted_self = 0;
-  };
-
-  // Counting wrapper backends consult instead of calling on_conflict()
-  // directly: tallies the decision (when the obs gate is on) before
-  // handing it back. Non-virtual on purpose — attribution must not
-  // depend on which manager is plugged in.
-  Decision decide(const Conflict& c);
-  DecisionCounts decision_counts() const;
-
   // Lifecycle notifications (no-ops by default).
   virtual void on_tx_begin(int tid, core::TxId tx) { (void)tid; (void)tx; }
   virtual void on_open(int tid) { (void)tid; }
@@ -69,11 +51,6 @@ class ContentionManager {
   virtual void on_abort(int tid) { (void)tid; }
 
   virtual std::string name() const = 0;
-
- private:
-#if OFTM_OBS
-  std::atomic<std::uint64_t> decided_[3] = {};
-#endif
 };
 
 }  // namespace oftm::cm

@@ -6,30 +6,6 @@
 
 namespace oftm::cm {
 
-Decision ContentionManager::decide(const Conflict& c) {
-  const Decision d = on_conflict(c);
-#if OFTM_OBS
-  decided_[static_cast<std::size_t>(d)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-#endif
-  return d;
-}
-
-ContentionManager::DecisionCounts ContentionManager::decision_counts() const {
-  DecisionCounts n;
-#if OFTM_OBS
-  n.aborted_victim =
-      decided_[static_cast<std::size_t>(Decision::kAbortVictim)].load(
-          std::memory_order_relaxed);
-  n.waited = decided_[static_cast<std::size_t>(Decision::kWait)].load(
-      std::memory_order_relaxed);
-  n.aborted_self =
-      decided_[static_cast<std::size_t>(Decision::kAbortSelf)].load(
-          std::memory_order_relaxed);
-#endif
-  return n;
-}
-
 Decision Randomized::on_conflict(const Conflict& c) {
   if (c.attempt >= max_attempts_) return Decision::kAbortVictim;
   thread_local runtime::Xoshiro256 rng = runtime::Xoshiro256::from_thread();

@@ -124,9 +124,9 @@ class TxView {
     // Attribute the abort to the application's retry request, not to a
     // plain tryA (the hint is consumed by the backend's abort accounting,
     // and restored to the default if the transaction was already dead).
-    OFTM_OBS_ONLY(obs::hint_abort(obs::AbortReason::kExplicitRetry);)
+    obs::hint_abort(obs::AbortReason::kExplicitRetry);
     tm_.try_abort(txn_);
-    OFTM_OBS_ONLY(obs::hint_abort(obs::AbortReason::kUserRequested);)
+    obs::hint_abort(obs::AbortReason::kUserRequested);
     dead_ = true;
     throw TxRetrySignal{};
   }
@@ -172,9 +172,9 @@ TxOutcome run_attempt(TransactionalMemory& tm, TmSession& session, F&& body,
   } catch (const TxRetrySignal&) {
     // retry() already aborted; a raw user-thrown signal may not have —
     // finish the transaction either way (idempotent on a completed one).
-    OFTM_OBS_ONLY(obs::hint_abort(obs::AbortReason::kExplicitRetry);)
+    obs::hint_abort(obs::AbortReason::kExplicitRetry);
     tm.try_abort(txn);
-    OFTM_OBS_ONLY(obs::hint_abort(obs::AbortReason::kUserRequested);)
+    obs::hint_abort(obs::AbortReason::kUserRequested);
     return TxOutcome::kRetry;
   } catch (const TxCancelled&) {
     tm.try_abort(txn);

@@ -2,9 +2,45 @@
 
 // Anchors the vtables of Transaction/TransactionalMemory/TmSession and
 // hosts the session-table plus fallback-session plumbing shared by every
-// TM (wrappers included).
+// TM (wrappers included), and the pooled sessions' statistics cells.
 
 namespace oftm::core {
+
+void SessionStats::add_to(runtime::TxStats& s,
+                          std::vector<obs::HotVar>& hot) const {
+  s.commits += commits.read();
+  s.reads += reads.read();
+  s.writes += writes.read();
+  s.cm_backoffs += cm_backoffs.read();
+  s.victim_kills += victim_kills.read();
+  for (std::size_t r = 0; r < obs::kNumAbortReasons; ++r) {
+    const std::uint64_t n = aborts[r].read();
+    s.abort_reason[r] += n;
+    s.aborts += n;
+    if (obs::is_forced(static_cast<obs::AbortReason>(r))) {
+      s.forced_aborts += n;
+    }
+  }
+#if OFTM_OBS
+  phases.collect(s.phase_ns, s.phase_count);
+  heat.collect_into(hot);
+#else
+  static_cast<void>(hot);
+#endif
+}
+
+void SessionStats::reset() noexcept {
+  commits.reset();
+  reads.reset();
+  writes.reset();
+  cm_backoffs.reset();
+  victim_kills.reset();
+  for (auto& n : aborts) n.reset();
+#if OFTM_OBS
+  phases.reset();
+  heat.reset();
+#endif
+}
 
 TmSession& TransactionalMemory::session(ThreadSlot slot) {
   OFTM_ASSERT(slot >= 0 && slot < runtime::ThreadRegistry::kMaxThreads);

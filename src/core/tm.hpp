@@ -35,6 +35,12 @@
 // Both tiers run one transaction lifecycle, written once for every
 // backend in PooledTm below: sessions, both begin entry points, tx ids,
 // statistics, and the abandonment rule.
+//
+// Statistics are per-thread state, so they live in the session too: each
+// pooled session holds one cache-line-aligned SessionStats cell that only
+// the thread using the session writes, and stats() sums the cells of the
+// session table. Each abort is counted once, under its reason; the abort
+// totals are sums of the reason counts.
 #pragma once
 
 #include <array>
@@ -49,6 +55,7 @@
 #include "obs/profile.hpp"
 #include "obs/taxonomy.hpp"
 #include "runtime/assert.hpp"
+#include "runtime/cacheline.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/thread_registry.hpp"
 
@@ -116,11 +123,36 @@ class TmSession {
   const ThreadSlot slot_;
 };
 
+// One session's statistics: commits, reads, writes, backoffs, victim
+// kills, the abort count per obs::AbortReason, and (with OFTM_OBS) the
+// sampled phase sums and the conflict heat map. One cache-line-aligned
+// cell per session, so no two sessions share a line. Only the thread using
+// the session writes it (relaxed loads and stores); stats() may read it
+// at any time, reset() only at quiescent points.
+struct alignas(runtime::kCacheLineSize) SessionStats {
+  runtime::OwnedCounter commits;
+  runtime::OwnedCounter reads;
+  runtime::OwnedCounter writes;
+  runtime::OwnedCounter cm_backoffs;
+  runtime::OwnedCounter victim_kills;
+  runtime::OwnedCounter aborts[obs::kNumAbortReasons];  // by reason
+#if OFTM_OBS
+  obs::PhaseSums phases;
+  obs::HeatMap heat;
+#endif
+
+  // Add this session's counts to `s`; TxStats::aborts and forced_aborts
+  // are computed here, as sums of the reason counts. The heat-map entries
+  // go to `hot` unmerged (see PooledTm::stats).
+  void add_to(runtime::TxStats& s, std::vector<obs::HotVar>& hot) const;
+  void reset() noexcept;
+};
+
 // The pooled session every backend uses: one dedicated hot-tier descriptor
-// (stable identity, reset in place by begin(TmSession&)) plus the
-// portability tier's free list. Owns every descriptor it ever created;
-// they live until the TM is destroyed.
-template <typename TxnT>
+// (stable identity, reset in place by begin(TmSession&)), the portability
+// tier's free list, and the session's statistics. Owns every descriptor it
+// ever created; they live until the TM is destroyed, and each reaches this
+// session (and so its statistics) through its session_ pointer.
 class PooledTmSession final : public TmSession {
  public:
   explicit PooledTmSession(ThreadSlot slot) : TmSession(slot) {}
@@ -128,37 +160,46 @@ class PooledTmSession final : public TmSession {
   // Hot tier: the session's dedicated descriptor. Never enters the free
   // list, so its address is stable across transactions — the descriptor
   // reuse the conformance suite pins down.
+  template <typename TxnT>
   TxnT& hot() {
-    if (hot_ == nullptr) hot_ = &create();
-    return *hot_;
+    if (hot_ == nullptr) hot_ = &create<TxnT>();
+    return static_cast<TxnT&>(*hot_);
   }
 
   // Portability tier: check a descriptor out of the free list; releasing
   // the handle checks it back in. Allocates only when every owned
   // descriptor is simultaneously live.
+  template <typename TxnT>
   TxnT& checkout() {
-    if (free_.empty()) {
-      TxnT& t = create();
-      t.free_list_ = &free_;
-      return t;
-    }
+    if (free_.empty()) return create<TxnT>();
     auto& t = static_cast<TxnT&>(*free_.back());
     free_.pop_back();
     return t;
   }
 
+  SessionStats& stats() noexcept { return stats_; }
+  const SessionStats& stats() const noexcept { return stats_; }
+
  private:
+  template <typename>
+  friend class PooledTxn;
+
+  template <typename TxnT>
   TxnT& create() {
-    owned_.push_back(std::make_unique<TxnT>());
+    auto fresh = std::make_unique<TxnT>();
+    TxnT& t = *fresh;
+    t.session_ = this;
+    owned_.push_back(std::move(fresh));
     // Keep the check-in allocation-free (it runs inside a noexcept
     // releaser).
     free_.reserve(owned_.size());
-    return *owned_.back();
+    return t;
   }
 
-  std::vector<std::unique_ptr<TxnT>> owned_;
+  SessionStats stats_;
+  std::vector<std::unique_ptr<Transaction>> owned_;
   std::vector<Transaction*> free_;
-  TxnT* hot_ = nullptr;
+  Transaction* hot_ = nullptr;
 };
 
 namespace detail {
@@ -290,6 +331,15 @@ class TransactionalMemory {
   // gone. Not thread-safe; callers guarantee quiescence.
   void release_sessions() noexcept;
 
+  // Calls fn(TmSession&) on every session created so far. Safe while
+  // other threads create sessions and run transactions on them.
+  template <typename Fn>
+  void for_each_session(Fn&& fn) const {
+    for (const auto& cell : sessions_.cells) {
+      if (TmSession* s = cell.load(std::memory_order_acquire)) fn(*s);
+    }
+  }
+
  private:
   detail::SessionTableState sessions_;
 };
@@ -312,109 +362,88 @@ class PooledTxn;
 // finish. An abandoned transaction is not an abort — finish never counts
 // one — and finish is idempotent, so it may run on a transaction that
 // already committed or aborted.
+//
+// Statistics are per session: D counts through stats_of(tx), the cell of
+// the session the transaction runs on, and stats() sums the cells.
 template <typename D, typename P>
 class PooledTm : public TransactionalMemory {
  public:
   TmSession& this_thread_session() final { return session(P::thread_id()); }
 
   Transaction& begin(TmSession& session) final {
-    return start(static_cast<PooledTmSession<typename D::Txn>&>(session).hot());
+    return start(
+        static_cast<PooledTmSession&>(session).hot<typename D::Txn>());
   }
 
   TxnPtr begin() final {
-    return TxnPtr(&start(
-        static_cast<PooledTmSession<typename D::Txn>&>(this_thread_session())
-            .checkout()));
+    return TxnPtr(&start(static_cast<PooledTmSession&>(this_thread_session())
+                             .checkout<typename D::Txn>()));
   }
 
   runtime::TxStats stats() const final {
     runtime::TxStats s;
-    s.commits = commits_.read();
-    s.aborts = aborts_.read();
-    s.forced_aborts = forced_aborts_.read();
-    s.reads = reads_.read();
-    s.writes = writes_.read();
-    s.cm_backoffs = cm_backoffs_.read();
-    s.victim_kills = victim_kills_.read();
-#if OFTM_OBS
-    for (std::size_t i = 0; i < obs::kNumAbortReasons; ++i) {
-      s.abort_reason[i] = obs_.reasons().read(i);
-    }
-    obs_.collect(s.phase_ns, s.phase_count, s.hot_vars);
-#endif
-    return s;
+    runtime::TxStats heat;
+    for_each_session([&](const TmSession& session) {
+      static_cast<const PooledTmSession&>(session).stats().add_to(
+          s, heat.hot_vars);
+    });
+    // One merge over every session's heat-map entries: duplicate keys
+    // summed, then the heaviest 8 kept.
+    return s.merge(heat);
   }
 
+  // Quiescent points only: a session's owner may be counting.
   void reset_stats() final {
-    commits_.reset();
-    aborts_.reset();
-    forced_aborts_.reset();
-    reads_.reset();
-    writes_.reset();
-    cm_backoffs_.reset();
-    victim_kills_.reset();
-    OFTM_OBS_ONLY(obs_.reset();)
+    for_each_session([](TmSession& session) {
+      static_cast<PooledTmSession&>(session).stats().reset();
+    });
   }
 
  protected:
   std::unique_ptr<TmSession> make_session(ThreadSlot slot) final {
-    return std::make_unique<PooledTmSession<typename D::Txn>>(slot);
+    return std::make_unique<PooledTmSession>(slot);
   }
 
   static auto& txn_cast(Transaction& t) {
     return static_cast<typename D::Txn&>(t);
   }
 
+  // The statistics cell of the session tx runs on.
+  static SessionStats& stats_of(PooledTxn<PooledTm>& tx) {
+    return tx.session_->stats();
+  }
+
   // Abort funnels: every abort a backend counts goes through exactly one
-  // of these, so the per-reason attribution can never drift from the
-  // aggregate counters (TxStats::check_abort_reasons pins the sum).
+  // of these, under exactly one reason.
 
   // An abort the program asked for via tryA. The reason comes from the
   // thread's pending hint: TxView::retry() stamps kExplicitRetry before
   // calling down; a bare tryA defaults to kUserRequested.
-  void count_requested_abort() {
-    aborts_.add();
-#if OFTM_OBS
-    const obs::AbortReason r = obs::take_abort_hint();
-    obs_.reasons().add(r);
-    obs::note_last_abort(r);
-#endif
+  static void count_requested_abort(PooledTxn<PooledTm>& tx) {
+    count_abort(tx, obs::take_abort_hint());
   }
 
   // An abort the TM forced, with its cause and — when one location is
   // blamable — the contended key (TVarId, stripe index, word key) for
   // the conflict heat map.
-  void count_forced_abort(obs::AbortReason reason,
-                          std::uint64_t key = obs::kNoKey) {
-    static_cast<void>(reason);
+  static void count_forced_abort(PooledTxn<PooledTm>& tx,
+                                 obs::AbortReason reason,
+                                 std::uint64_t key = obs::kNoKey) {
+#if OFTM_OBS
+    if (key != obs::kNoKey) stats_of(tx).heat.hit(key);
+#else
     static_cast<void>(key);
-    aborts_.add();
-    forced_aborts_.add();
-#if OFTM_OBS
-    obs_.reasons().add(reason);
-    obs::note_last_abort(reason);
-    if (key != obs::kNoKey) obs_.cell().heat.hit(key);
 #endif
+    count_abort(tx, reason);
   }
-
-  // Striped counters, so bookkeeping does not create false sharing
-  // between worker threads.
-  runtime::StripedCounter commits_;
-  runtime::StripedCounter aborts_;
-  runtime::StripedCounter forced_aborts_;
-  runtime::StripedCounter reads_;
-  runtime::StripedCounter writes_;
-  runtime::StripedCounter cm_backoffs_;
-  runtime::StripedCounter victim_kills_;
-#if OFTM_OBS
-  // Phase histograms, heat map and reason counters for this TM instance.
-  // Mutable: stats() is const but materializes nothing; the recording
-  // paths go through the protected helpers above.
-  mutable obs::TmObs obs_;
-#endif
 
  private:
   friend class PooledTxn<PooledTm>;
+
+  static void count_abort(PooledTxn<PooledTm>& tx, obs::AbortReason reason) {
+    stats_of(tx).aborts[static_cast<std::size_t>(reason)].add();
+    OFTM_OBS_ONLY(obs::note_last_abort(reason);)
+  }
 
   // Both begin entry points: finish what the descriptor's previous
   // transaction left behind, then arm it. Adds no shared-memory step, so
@@ -451,18 +480,17 @@ class PooledTxn : public Transaction {
 
  private:
   friend Tm;
-  template <typename>
   friend class PooledTmSession;
 
   // Only checked-out descriptors reach here; the hot one is never handed
   // out as a handle.
   void handle_released() noexcept final {
     tm_->finish_released(*this);
-    free_list_->push_back(this);
+    session_->free_.push_back(this);
   }
 
-  Tm* tm_ = nullptr;  // set by every begin
-  std::vector<Transaction*>* free_list_ = nullptr;  // the session's
+  Tm* tm_ = nullptr;                    // set by every begin
+  PooledTmSession* session_ = nullptr;  // the session that created it
 };
 
 // Identity and status held in the descriptor itself: every backend but

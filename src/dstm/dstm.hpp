@@ -173,7 +173,7 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
 
   std::optional<core::Value> read(core::Transaction& t, core::TVarId x) override {
     auto& tx = this->txn_cast(t);
-    this->reads_.add();
+    this->stats_of(tx).reads.add();
     OFTM_ASSERT(x < num_tvars_);
 
     // The pin (taken at begin) precedes this status check: a displacing
@@ -187,7 +187,7 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
 
     // Own pending write?
     {
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kReadLookup);
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kReadLookup);
       for (const auto& w : tx.writes_) {
         if (w.x == x) return w.loc->new_val.load(std::memory_order_relaxed);
       }
@@ -211,7 +211,7 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
             return std::nullopt;
           }
           {
-            OFTM_OBS_PHASE(this->obs_, obs::Phase::kBackoff);
+            OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kBackoff);
             backoff.pause();
           }
           continue;
@@ -231,7 +231,7 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
 
   bool write(core::Transaction& t, core::TVarId x, core::Value v) override {
     auto& tx = this->txn_cast(t);
-    this->writes_.add();
+    this->stats_of(tx).writes.add();
     OFTM_ASSERT(x < num_tvars_);
 
     // Same reclamation argument as read(): the locator we are about to
@@ -251,7 +251,7 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
     typename P::Backoff backoff;
     int attempt = 0;
     // Ownership acquisition.
-    OFTM_OBS_PHASE(this->obs_, obs::Phase::kCommitLock);
+    OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kCommitLock);
     for (;;) {
       Locator* loc = slots_[x].value.load(std::memory_order_acquire);
       core::Value value;
@@ -264,7 +264,7 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
             return false;
           }
           {
-            OFTM_OBS_PHASE(this->obs_, obs::Phase::kBackoff);
+            OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kBackoff);
             backoff.pause();
           }
           continue;
@@ -314,7 +314,7 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
     if (tx.desc_->status.compare_exchange_strong(
             expected, core::TxStatus::kCommitted,
             std::memory_order_acq_rel)) {
-      this->commits_.add();
+      this->stats_of(tx).commits.add();
       cm_->on_commit(tx.cm_tid_);
       // Collapsing dereferences our locators: still pinned. (Collapse and
       // visible reads are separate recipes, so the order of the two is
@@ -332,7 +332,7 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
     core::TxStatus expected = core::TxStatus::kActive;
     if (tx.desc_->status.compare_exchange_strong(
             expected, core::TxStatus::kAborted, std::memory_order_acq_rel)) {
-      this->count_requested_abort();
+      this->count_requested_abort(tx);
       cm_->on_abort(tx.cm_tid_);
     }
     release(tx);
@@ -450,13 +450,13 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
     c.self_tx = tx.desc_->id;
     c.victim_tx = loc->owner->id;
     c.attempt = attempt;
-    switch (cm_->decide(c)) {
+    switch (cm_->on_conflict(c)) {
       case cm::Decision::kAbortVictim: {
         core::TxStatus expected = core::TxStatus::kActive;
         if (loc->owner->status.compare_exchange_strong(
                 expected, core::TxStatus::kAborted,
                 std::memory_order_acq_rel)) {
-          this->victim_kills_.add();
+          this->stats_of(tx).victim_kills.add();
           cm_->on_abort(c.victim_tid);
         }
         // Owner is now resolved either way; re-resolve without pausing.
@@ -469,7 +469,7 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
         return Resolve::kResolved;
       }
       case cm::Decision::kWait:
-        this->cm_backoffs_.add();
+        this->stats_of(tx).cm_backoffs.add();
         ++attempt;
         return Resolve::kRetry;
       case cm::Decision::kAbortSelf:
@@ -484,7 +484,7 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
   // is recorded only once its resolution is stable, and resolved locators
   // never change value.
   bool validate(Txn& tx) {
-    OFTM_OBS_PHASE(this->obs_, obs::Phase::kValidation);
+    OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kValidation);
     for (const auto& r : tx.reads_) {
       if (slots_[r.x].value.load(std::memory_order_acquire) != r.seen) {
         return false;
@@ -498,7 +498,7 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
     core::TxStatus expected = core::TxStatus::kActive;
     tx.desc_->status.compare_exchange_strong(
         expected, core::TxStatus::kAborted, std::memory_order_acq_rel);
-    this->count_forced_abort(reason, key);  // not requested via tryA
+    this->count_forced_abort(tx, reason, key);  // not requested via tryA
     cm_->on_abort(tx.cm_tid_);
     release(tx);
   }
@@ -506,7 +506,7 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
   // Our status CAS was beaten by another process (a contention-manager
   // kill, or a visible-reads sweep): account the forced abort.
   void on_forced_abort(Txn& tx, std::uint64_t key = obs::kNoKey) {
-    this->count_forced_abort(obs::AbortReason::kCmKill, key);
+    this->count_forced_abort(tx, obs::AbortReason::kCmKill, key);
     cm_->on_abort(tx.cm_tid_);
     release(tx);
   }
@@ -543,7 +543,7 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
       if (reader->status.compare_exchange_strong(
               expected, core::TxStatus::kAborted,
               std::memory_order_acq_rel)) {
-        this->victim_kills_.add();
+        this->stats_of(tx).victim_kills.add();
         cm_->on_abort(core::tx_id_thread(reader->id));
       }
       // Whoever nulls the entry drops its reference.

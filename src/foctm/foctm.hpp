@@ -47,7 +47,6 @@
 #include "foc/fo_consensus.hpp"
 #include "runtime/assert.hpp"
 #include "runtime/cacheline.hpp"
-#include "runtime/thread_registry.hpp"
 
 namespace oftm::foctm {
 
@@ -114,6 +113,11 @@ class Foctm final : public core::PooledTm<Foctm<P, FocPolicy>, P> {
     friend class Foctm;
     TxDesc* desc_ = nullptr;
     std::vector<core::TVarId> wset_;
+    // Every TxDesc this descriptor minted, desc_ last. Owner chains
+    // reference them indefinitely, so they live as long as the descriptor:
+    // until the TM is destroyed (the paper's unbounded-memory caveat,
+    // footnote 6).
+    std::vector<std::unique_ptr<TxDesc>> minted_;
   };
 
   Foctm(std::size_t num_tvars, FoctmOptions options = {})
@@ -136,14 +140,14 @@ class Foctm final : public core::PooledTm<Foctm<P, FocPolicy>, P> {
   std::optional<core::Value> read(core::Transaction& t,
                                   core::TVarId x) override {
     auto& tx = this->txn_cast(t);
-    this->reads_.add();
+    this->stats_of(tx).reads.add();
     if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
     return acquire(tx, x);  // line 2: return acquire(Tk, x)
   }
 
   bool write(core::Transaction& t, core::TVarId x, core::Value v) override {
     auto& tx = this->txn_cast(t);
-    this->writes_.add();
+    this->stats_of(tx).writes.add();
     if (tx.status_ != core::TxStatus::kActive) return false;
     const auto s = acquire(tx, x);          // line 4
     if (!s.has_value()) return false;       // line 5
@@ -157,12 +161,12 @@ class Foctm final : public core::PooledTm<Foctm<P, FocPolicy>, P> {
     const auto s = tx.desc_->state.propose(Vote::kCommitted);  // line 31
     if (s.has_value() && *s == Vote::kCommitted) {             // line 32
       tx.status_ = core::TxStatus::kCommitted;
-      this->commits_.add();
+      this->stats_of(tx).commits.add();
       return true;
     }
     // ⊥ (propose aborted under contention) or someone voted us aborted.
     tx.status_ = core::TxStatus::kAborted;
-    this->count_forced_abort(obs::AbortReason::kCmKill);
+    this->count_forced_abort(tx, obs::AbortReason::kCmKill);
     return false;  // line 33
   }
 
@@ -173,7 +177,7 @@ class Foctm final : public core::PooledTm<Foctm<P, FocPolicy>, P> {
     // `aborted` by the next transaction that meets one of our ownerships;
     // only we could ever propose `committed`, and we never will.
     tx.status_ = core::TxStatus::kAborted;
-    this->count_requested_abort();
+    this->count_requested_abort(tx);
   }
 
   std::size_t num_tvars() const override { return num_tvars_; }
@@ -227,21 +231,12 @@ class Foctm final : public core::PooledTm<Foctm<P, FocPolicy>, P> {
     Atomic<HintRec*> hint{nullptr};
   };
 
-  struct DescPool {
-    std::vector<std::unique_ptr<TxDesc>> descs;
-  };
-
   // Re-arm a pooled descriptor. The wrapper (write-set vector) is reused;
-  // the TxDesc must be fresh per transaction and lives forever — Owner
-  // chains reference it indefinitely, the paper's unbounded-memory caveat
-  // (footnote 6). Descriptors are owned by per-thread pools and released
-  // at TM destruction.
+  // the TxDesc must be fresh per transaction, and the descriptor keeps it.
   void prepare(Txn& tx, core::TxId id) {
-    auto desc = std::make_unique<TxDesc>();
     tx.id_ = id;
-    tx.desc_ = desc.get();
-    pools_[static_cast<std::size_t>(P::thread_id())]->descs.push_back(
-        std::move(desc));
+    tx.minted_.push_back(std::make_unique<TxDesc>());
+    tx.desc_ = tx.minted_.back().get();
     tx.wset_.clear();
     tx.status_ = core::TxStatus::kActive;
   }
@@ -284,7 +279,7 @@ class Foctm final : public core::PooledTm<Foctm<P, FocPolicy>, P> {
 
     bool in_wset = false;
     {
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kReadLookup);
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kReadLookup);
       for (core::TVarId w : tx.wset_) {
         if (w == x) {
           in_wset = true;
@@ -297,7 +292,7 @@ class Foctm final : public core::PooledTm<Foctm<P, FocPolicy>, P> {
       // The version walk doubles as ownership acquisition (lines 13-23):
       // attribute it to the commit-lock phase like the other backends'
       // acquire loops.
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kCommitLock);
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kCommitLock);
       std::size_t version = 1;                         // line 10
       state = 0;                                       // line 11 (initial)
       if (options_.use_hints) {
@@ -348,7 +343,7 @@ class Foctm final : public core::PooledTm<Foctm<P, FocPolicy>, P> {
   std::optional<core::Value> forced_abort(Txn& tx, obs::AbortReason reason,
                                           std::uint64_t key = obs::kNoKey) {
     tx.status_ = core::TxStatus::kAborted;
-    this->count_forced_abort(reason, key);
+    this->count_forced_abort(tx, reason, key);
     return std::nullopt;
   }
 
@@ -371,9 +366,6 @@ class Foctm final : public core::PooledTm<Foctm<P, FocPolicy>, P> {
   const FoctmOptions options_;
   const std::size_t num_tvars_;
   std::unique_ptr<TVarState[]> vars_;
-  std::array<runtime::CacheAligned<DescPool>,
-             runtime::ThreadRegistry::kMaxThreads>
-      pools_{};
 };
 
 }  // namespace oftm::foctm

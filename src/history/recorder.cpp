@@ -62,10 +62,9 @@ std::uint64_t shard_hash(std::uint64_t x) {
   return x;
 }
 
-// One event's contribution to its transaction's record. Factored out so the
-// sequential scan and every digestion worker run the identical state
-// machine — a record's content depends only on its own events, in seq
-// order, which both paths preserve.
+// One event's contribution to its transaction's record. A record's content
+// depends only on its own events, in seq order, which every digestion
+// worker sees.
 void digest_event(const Event& e,
                   std::unordered_map<core::TxId, TxRecord>& by_tx,
                   std::unordered_map<core::TxId, Event>& open_inv) {
@@ -111,31 +110,14 @@ std::vector<TxRecord> Recorder::transactions() const {
   return transactions(events());
 }
 
-std::vector<TxRecord> Recorder::transactions(const std::vector<Event>& evs) {
-  std::unordered_map<core::TxId, TxRecord> by_tx;
-  std::unordered_map<core::TxId, Event> open_inv;  // pending invocation per tx
-  by_tx.reserve(evs.size() / 8 + 16);
-
-  for (const Event& e : evs) digest_event(e, by_tx, open_inv);
-
-  std::vector<TxRecord> out;
-  out.reserve(by_tx.size());
-  for (auto& [id, rec] : by_tx) out.push_back(std::move(rec));
-  std::sort(out.begin(), out.end(), [](const TxRecord& a, const TxRecord& b) {
-    return a.first_seq < b.first_seq;
-  });
-  return out;
-}
-
 std::vector<TxRecord> Recorder::transactions(const std::vector<Event>& evs,
                                              int threads) {
   const int workers = runtime::resolve_workers(threads);
-  if (workers <= 1) return transactions(evs);
 
   // Shard by tx id: each worker scans the whole log but digests only its
   // shard, so a transaction's events all land in one worker, in seq order.
   // The scans are read-only and cache-friendly; the per-worker maps are
-  // where the sequential version spends its time.
+  // where the time goes. One worker runs on the calling thread.
   const std::uint64_t w64 = static_cast<std::uint64_t>(workers);
   std::vector<std::vector<TxRecord>> shards(static_cast<std::size_t>(workers));
   runtime::run_on_workers(workers, [&](int w) {
@@ -159,8 +141,8 @@ std::vector<TxRecord> Recorder::transactions(const std::vector<Event>& evs,
     for (TxRecord& rec : s) out.push_back(std::move(rec));
   }
   // first_seq values are unique (one event owns each seq), so this total
-  // order has a single sorted permutation: identical output to the
-  // sequential overload regardless of shard count.
+  // order has a single sorted permutation: identical output regardless of
+  // shard count.
   runtime::parallel_sort(workers, out.begin(), out.end(),
                          [](const TxRecord& a, const TxRecord& b) {
                            return a.first_seq < b.first_seq;
@@ -178,42 +160,14 @@ std::string Recorder::check_well_formed() const {
   return check_well_formed(events());
 }
 
-std::string Recorder::check_well_formed(const std::vector<Event>& evs) {
-  // Per process: events strictly alternate invoke/response and responses
-  // match the preceding invocation's (tx, op).
-  std::map<int, const Event*> pending;
-  for (const Event& e : evs) {
-    auto it = pending.find(e.pid);
-    if (e.kind == Event::Kind::kInvoke) {
-      if (it != pending.end() && it->second != nullptr) {
-        return "invocation while an operation is pending at pid " +
-               std::to_string(e.pid);
-      }
-      pending[e.pid] = &e;
-    } else {
-      if (it == pending.end() || it->second == nullptr) {
-        return "response without invocation at pid " + std::to_string(e.pid);
-      }
-      const Event& inv = *it->second;
-      if (inv.tx != e.tx || inv.op != e.op) {
-        return "response does not match invocation at pid " +
-               std::to_string(e.pid);
-      }
-      pending[e.pid] = nullptr;
-    }
-  }
-  return "";
-}
-
 std::string Recorder::check_well_formed(const std::vector<Event>& evs,
                                         int threads) {
   const int workers = runtime::resolve_workers(threads);
-  if (workers <= 1) return check_well_formed(evs);
 
   // A pid's event subsequence is self-contained (the state machine is per
   // process), so shard by pid. Each worker scans in seq order and keeps
   // its first diagnostic; the smallest seq across workers is the same
-  // event the sequential scan trips on first.
+  // event one scan over all pids trips on first.
   struct FirstError {
     std::uint64_t seq = ~std::uint64_t{0};
     std::string msg;

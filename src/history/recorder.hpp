@@ -44,27 +44,25 @@ class Recorder {
   // The static overload digests an existing snapshot — large-history
   // callers take one events() snapshot and feed it to both this and
   // check_well_formed instead of paying the full-log copy twice.
-  // With threads > 1, transactions are sharded across workers by tx-id
-  // hash; output is identical to the sequential overload for every thread
+  // Transactions are sharded across `threads` workers (0 = one per
+  // hardware thread) by tx-id hash; output is identical for every worker
   // count (each record is built from its own events in seq order, and
   // first_seq values are unique, so the sorted result is one permutation).
   std::vector<TxRecord> transactions() const;
-  static std::vector<TxRecord> transactions(const std::vector<Event>& events);
   static std::vector<TxRecord> transactions(const std::vector<Event>& events,
-                                            int threads);
+                                            int threads = 1);
 
   void clear();
 
   // Well-formedness of the recorded history (Section 2.1): per process,
   // alternating invocation/response of matching operations. Returns an
-  // empty string if well-formed, else a diagnostic. The threaded overload
-  // shards by pid (each pid's event subsequence is self-contained) and
-  // reports the diagnostic with the smallest seq — the same one the
-  // sequential scan hits first.
+  // empty string if well-formed, else a diagnostic. Shards by pid across
+  // `threads` workers (each pid's event subsequence is self-contained)
+  // and reports the diagnostic with the smallest seq — the one a single
+  // scan in seq order hits first, whatever the worker count.
   std::string check_well_formed() const;
-  static std::string check_well_formed(const std::vector<Event>& events);
   static std::string check_well_formed(const std::vector<Event>& events,
-                                       int threads);
+                                       int threads = 1);
 
   std::string format() const;
 

@@ -45,7 +45,7 @@ class Coarse final : public core::PooledTm<Coarse<P>, P> {
   std::optional<core::Value> read(core::Transaction& t,
                                   core::TVarId x) override {
     auto& tx = this->txn_cast(t);
-    this->reads_.add();
+    this->stats_of(tx).reads.add();
     OFTM_ASSERT(x < num_tvars_);
     if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
     return values_[x].load(std::memory_order_relaxed);
@@ -53,7 +53,7 @@ class Coarse final : public core::PooledTm<Coarse<P>, P> {
 
   bool write(core::Transaction& t, core::TVarId x, core::Value v) override {
     auto& tx = this->txn_cast(t);
-    this->writes_.add();
+    this->stats_of(tx).writes.add();
     OFTM_ASSERT(x < num_tvars_);
     if (tx.status_ != core::TxStatus::kActive) return false;
     // In-place update with undo log (rolled back on abort).
@@ -67,7 +67,7 @@ class Coarse final : public core::PooledTm<Coarse<P>, P> {
     if (tx.status_ != core::TxStatus::kActive) return false;
     tx.status_ = core::TxStatus::kCommitted;
     release();
-    this->commits_.add();
+    this->stats_of(tx).commits.add();
     return true;
   }
 
@@ -75,10 +75,10 @@ class Coarse final : public core::PooledTm<Coarse<P>, P> {
     auto& tx = this->txn_cast(t);
     if (tx.status_ != core::TxStatus::kActive) return;
     {
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kWriteBack);
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kWriteBack);
       finish(tx);
     }
-    this->count_requested_abort();
+    this->count_requested_abort(tx);
   }
 
   std::size_t num_tvars() const override { return num_tvars_; }
@@ -96,15 +96,15 @@ class Coarse final : public core::PooledTm<Coarse<P>, P> {
     tx.id_ = id;
     tx.undo_.clear();
     typename P::Backoff backoff;
-    OFTM_OBS_PHASE(this->obs_, obs::Phase::kCommitLock);
+    OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kCommitLock);
     for (;;) {
       bool expected = false;
       if (lock_.value.compare_exchange_strong(expected, true,
                                               std::memory_order_acq_rel)) {
         break;
       }
-      this->cm_backoffs_.add();
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kBackoff);
+      this->stats_of(tx).cm_backoffs.add();
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kBackoff);
       backoff.pause();
     }
     tx.status_ = core::TxStatus::kActive;

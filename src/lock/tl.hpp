@@ -66,12 +66,12 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
   std::optional<core::Value> read(core::Transaction& t,
                                   core::TVarId x) override {
     auto& tx = this->txn_cast(t);
-    this->reads_.add();
+    this->stats_of(tx).reads.add();
     OFTM_ASSERT(x < num_tvars_);
     if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
 
     {
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kReadLookup);
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kReadLookup);
       for (const auto& w : tx.writes_) {
         if (w.x == x) return w.value;
       }
@@ -115,15 +115,15 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
         rollback_abort(tx, obs::AbortReason::kLockTimeout, x);
         return std::nullopt;
       }
-      this->cm_backoffs_.add();
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kBackoff);
+      this->stats_of(tx).cm_backoffs.add();
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kBackoff);
       backoff.pause();
     }
   }
 
   bool write(core::Transaction& t, core::TVarId x, core::Value v) override {
     auto& tx = this->txn_cast(t);
-    this->writes_.add();
+    this->stats_of(tx).writes.add();
     OFTM_ASSERT(x < num_tvars_);
     if (tx.status_ != core::TxStatus::kActive) return false;
 
@@ -136,7 +136,7 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
 
     typename P::Backoff backoff;
     Slot& s = slots_[x];
-    OFTM_OBS_PHASE(this->obs_, obs::Phase::kCommitLock);
+    OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kCommitLock);
     for (int spin = 0;; ++spin) {
       std::uint64_t w1 = s.lock.load(std::memory_order_acquire);
       if (!LockWord::locked(w1)) {
@@ -165,8 +165,8 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
         rollback_abort(tx, obs::AbortReason::kLockTimeout, x);
         return false;
       }
-      this->cm_backoffs_.add();
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kBackoff);
+      this->stats_of(tx).cm_backoffs.add();
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kBackoff);
       backoff.pause();
     }
   }
@@ -180,7 +180,7 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
     }
     // Write back and release: bump each version (2PL shrink phase).
     {
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kWriteBack);
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kWriteBack);
       for (const auto& w : tx.writes_) {
         Slot& s = slots_[w.x];
         s.value.store(w.value, std::memory_order_relaxed);
@@ -189,7 +189,7 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
       }
     }
     tx.status_ = core::TxStatus::kCommitted;
-    this->commits_.add();
+    this->stats_of(tx).commits.add();
     return true;
   }
 
@@ -197,7 +197,7 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
     auto& tx = this->txn_cast(t);
     if (tx.status_ != core::TxStatus::kActive) return;
     finish(tx);
-    this->count_requested_abort();
+    this->count_requested_abort(tx);
   }
 
   std::size_t num_tvars() const override { return num_tvars_; }
@@ -236,7 +236,7 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
   }
 
   bool validate(Txn& tx) {
-    OFTM_OBS_PHASE(this->obs_, obs::Phase::kValidation);
+    OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kValidation);
     for (const auto& r : tx.reads_) {
       bool own = false;
       for (const auto& w : tx.writes_) {
@@ -258,7 +258,7 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
   void rollback_abort(Txn& tx, obs::AbortReason reason,
                       std::uint64_t key = obs::kNoKey) {
     finish(tx);
-    this->count_forced_abort(reason, key);
+    this->count_forced_abort(tx, reason, key);
   }
 
   const TlOptions options_;

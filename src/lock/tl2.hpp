@@ -96,11 +96,11 @@ class Tl2 : public core::PooledTm<Tl2<A>, typename A::Platform> {
   }
 
   std::optional<core::Value> read_at(Txn& tx, Loc loc) {
-    this->reads_.add();
+    this->stats_of(tx).reads.add();
     if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
 
     {
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kReadLookup);
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kReadLookup);
       if (!tx.writes_.empty()) {
         if (const core::Value* w = tx.writes_.find(loc)) return *w;
       }
@@ -130,7 +130,7 @@ class Tl2 : public core::PooledTm<Tl2<A>, typename A::Platform> {
   }
 
   bool write_at(Txn& tx, Loc loc, core::Value v) {
-    this->writes_.add();
+    this->stats_of(tx).writes.add();
     if (tx.status_ != core::TxStatus::kActive) return false;
     if (tx.log_.owns(loc)) {
       // Private block: write in place, no redo log, no commit-time lock.
@@ -169,7 +169,7 @@ class Tl2 : public core::PooledTm<Tl2<A>, typename A::Platform> {
     base.clear();
     typename P::Backoff backoff;
     {
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kCommitLock);
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kCommitLock);
       for (const auto& e : cs) {
         if (!locked.empty() && locked.back() == e.key) continue;
         auto& lock = mem_.meta(e.key);
@@ -191,8 +191,8 @@ class Tl2 : public core::PooledTm<Tl2<A>, typename A::Platform> {
             abort_forced(tx, obs::AbortReason::kLockTimeout, e.key);
             return false;
           }
-          this->cm_backoffs_.add();
-          OFTM_OBS_PHASE(this->obs_, obs::Phase::kBackoff);
+          this->stats_of(tx).cm_backoffs.add();
+          OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kBackoff);
           backoff.pause();
         }
       }
@@ -205,7 +205,7 @@ class Tl2 : public core::PooledTm<Tl2<A>, typename A::Platform> {
     // Validate the read set unless nobody could have committed in between.
     // A lock this transaction holds may appear locked.
     if (tx.rv_ + 1 != wv) {
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kValidation);
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kValidation);
       for (const auto& r : tx.reads_) {
         const bool own =
             std::binary_search(locked.begin(), locked.end(), r.key);
@@ -222,7 +222,7 @@ class Tl2 : public core::PooledTm<Tl2<A>, typename A::Platform> {
     // For each lock: write back its words, then release it with the
     // commit version.
     {
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kWriteBack);
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kWriteBack);
       std::size_t i = 0;
       for (const std::uint32_t key : locked) {
         for (; i < cs.size() && cs[i].key == key; ++i) {
@@ -240,7 +240,7 @@ class Tl2 : public core::PooledTm<Tl2<A>, typename A::Platform> {
     auto& tx = this->txn_cast(t);
     if (tx.status_ != core::TxStatus::kActive) return;
     tx.roll_back();
-    this->count_requested_abort();
+    this->count_requested_abort(tx);
   }
 
   std::size_t num_tvars() const final { return mem_.num_tvars(); }
@@ -274,14 +274,14 @@ class Tl2 : public core::PooledTm<Tl2<A>, typename A::Platform> {
   void finish_commit(Txn& tx) {
     tx.log_.commit();
     tx.status_ = core::TxStatus::kCommitted;
-    this->commits_.add();
+    this->stats_of(tx).commits.add();
   }
 
   // rv extension: sound iff every recorded read is still current at the
   // *new* clock value — the snapshot simply turns out to be fresher than
   // first assumed.
   bool try_extend(Txn& tx) {
-    OFTM_OBS_PHASE(this->obs_, obs::Phase::kValidation);
+    OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kValidation);
     const std::uint64_t new_rv = clock_.value.load(std::memory_order_acquire);
     if (new_rv <= tx.rv_) return false;
     for (const auto& r : tx.reads_) {
@@ -305,7 +305,7 @@ class Tl2 : public core::PooledTm<Tl2<A>, typename A::Platform> {
 
   void abort_forced(Txn& tx, obs::AbortReason reason, std::uint64_t key) {
     tx.roll_back();
-    this->count_forced_abort(reason, key);
+    this->count_forced_abort(tx, reason, key);
   }
 
   const Tl2Options options_;

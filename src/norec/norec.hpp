@@ -102,13 +102,13 @@ class Norec : public core::PooledTm<Norec<A>, typename A::Platform> {
   }
 
   std::optional<core::Value> read_at(Txn& tx, Loc loc) {
-    this->reads_.add();
+    this->stats_of(tx).reads.add();
     if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
 
     // Read-your-own-writes from the redo log. With the Bloom ablation a
     // definite filter miss skips the probe.
     {
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kReadLookup);
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kReadLookup);
       if (!tx.writes_.empty() &&
           (!options_.bloom_reads ||
            (tx.write_filter_ & bloom_mask(core::location_key(loc))) ==
@@ -139,7 +139,7 @@ class Norec : public core::PooledTm<Norec<A>, typename A::Platform> {
   }
 
   bool write_at(Txn& tx, Loc loc, core::Value v) {
-    this->writes_.add();
+    this->stats_of(tx).writes.add();
     if (tx.status_ != core::TxStatus::kActive) return false;
     if (tx.log_.owns(loc)) {
       mem_.store(loc, v, std::memory_order_relaxed);
@@ -168,10 +168,10 @@ class Norec : public core::PooledTm<Norec<A>, typename A::Platform> {
     // retry from the newer snapshot.
     std::uint64_t s = tx.snapshot_;
     {
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kCommitLock);
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kCommitLock);
       while (!seqlock_.value.compare_exchange_strong(
           s, s + 1, std::memory_order_seq_cst)) {
-        this->cm_backoffs_.add();
+        this->stats_of(tx).cm_backoffs.add();
         std::uint64_t culprit = obs::kNoKey;
         if (!revalidate(tx, &culprit)) {
           // The seqlock moved (a concurrent commit) and the read set no
@@ -187,7 +187,7 @@ class Norec : public core::PooledTm<Norec<A>, typename A::Platform> {
     // even value. A stall here blocks everyone — the obstruction-freedom
     // trade this backend exists to quantify.
     {
-      OFTM_OBS_PHASE(this->obs_, obs::Phase::kWriteBack);
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kWriteBack);
       tx.writes_.for_each([&](Loc loc, core::Value v) {
         mem_.store(loc, v, std::memory_order_seq_cst);
       });
@@ -201,7 +201,7 @@ class Norec : public core::PooledTm<Norec<A>, typename A::Platform> {
     auto& tx = this->txn_cast(t);
     if (tx.status_ != core::TxStatus::kActive) return;
     tx.roll_back();
-    this->count_requested_abort();
+    this->count_requested_abort(tx);
   }
 
   std::size_t num_tvars() const final { return mem_.num_tvars(); }
@@ -246,7 +246,7 @@ class Norec : public core::PooledTm<Norec<A>, typename A::Platform> {
   void finish_commit(Txn& tx) {
     tx.log_.commit();
     tx.status_ = core::TxStatus::kCommitted;
-    this->commits_.add();
+    this->stats_of(tx).commits.add();
   }
 
   // Value-based revalidation: wait out any in-flight write-back, re-read
@@ -255,7 +255,7 @@ class Norec : public core::PooledTm<Norec<A>, typename A::Platform> {
   // reads are consistent *now*, not just at the old time); failure means a
   // conflicting write committed — the only way NOrec ever force-aborts.
   bool revalidate(Txn& tx, std::uint64_t* culprit = nullptr) {
-    OFTM_OBS_PHASE(this->obs_, obs::Phase::kValidation);
+    OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kValidation);
     for (;;) {
       std::uint64_t time = seqlock_.value.load(std::memory_order_seq_cst);
       if (time & 1) {
@@ -281,7 +281,7 @@ class Norec : public core::PooledTm<Norec<A>, typename A::Platform> {
 
   void abort_forced(Txn& tx, obs::AbortReason reason, std::uint64_t key) {
     tx.roll_back();
-    this->count_forced_abort(reason, key);
+    this->count_forced_abort(tx, reason, key);
   }
 
   const NorecOptions options_;

@@ -8,12 +8,12 @@
 // baseline-breaking change (re-record bench/baselines/REPORT_*.jsonl).
 //
 // The OFTM_OBS gate also lives here so every translation unit sees the
-// same setting: 1 (default) compiles the instrumentation in, 0 compiles
-// it away entirely (CMake -DOFTM_OBS=OFF). TxStats keeps its obs-shaped
-// fields in both modes — they just stay zero when the gate is off — so
-// the struct layout never depends on the gate (no ODR hazard between
-// obs-on and obs-off objects is possible anyway, but report/consumer
-// code stays identical too).
+// same setting: 1 (default) compiles the phase timing, the conflict heat
+// map and the trace sink in, 0 compiles them away (CMake -DOFTM_OBS=OFF).
+// Abort reasons are not gated: every abort is counted once, under its
+// reason, and TxStats derives its abort totals from those counts. TxStats
+// keeps its phase and heat-map fields in both modes — they stay zero when
+// the gate is off — so report/consumer code never depends on the gate.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +32,8 @@
 namespace oftm::obs {
 
 // Why a transaction aborted. Stamped at every abort site in every
-// backend; per-reason counts must sum exactly to TxStats::aborts (the
-// reconciliation invariant obs_test enforces across all recipes).
+// backend; TxStats::aborts is the sum of the per-reason counts (obs_test
+// reconciles them across all recipes).
 enum class AbortReason : std::uint8_t {
   // try_abort with no more specific cause: the program gave up on the
   // transaction (TxView::cancel, conformance-test aborts, driver
@@ -63,6 +63,12 @@ enum class AbortReason : std::uint8_t {
 };
 
 inline constexpr std::size_t kNumAbortReasons = 7;
+
+// Whether the TM forced an abort of this reason, as opposed to the program
+// requesting it via tryA: TxStats::forced_aborts sums the forced reasons.
+inline constexpr bool is_forced(AbortReason r) {
+  return r != AbortReason::kUserRequested && r != AbortReason::kExplicitRetry;
+}
 
 inline constexpr const char* abort_reason_name(std::size_t i) {
   constexpr const char* kNames[kNumAbortReasons] = {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "runtime/assert.hpp"
 
 namespace oftm::runtime {
 
@@ -64,13 +63,6 @@ std::string TxStats::to_string() const {
     out += "}";
   }
   return out;
-}
-
-void TxStats::check_abort_reasons() const {
-#if OFTM_OBS
-  OFTM_ASSERT_MSG(abort_reasons_consistent(),
-                  "abort-reason counters do not sum to TxStats::aborts");
-#endif
 }
 
 void TxStats::merge_hot_vars(const std::vector<obs::HotVar>& other) {

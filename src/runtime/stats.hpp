@@ -1,8 +1,8 @@
 // Low-overhead measurement primitives for the benchmark harness.
 //
-// Counters are striped per thread (one cache line each) so that counting
-// commits/aborts does not itself create the shared hot spots this repo
-// exists to measure.
+// A TM's counters live in its pooled sessions (core::SessionStats), one
+// cache-line-aligned cell per session, so counting commits and aborts does
+// not itself create the shared hot spots this repo exists to measure.
 #pragma once
 
 #include <atomic>
@@ -11,37 +11,25 @@
 #include <vector>
 
 #include "obs/taxonomy.hpp"
-#include "runtime/cacheline.hpp"
-#include "runtime/thread_registry.hpp"
 
 namespace oftm::runtime {
 
-// Per-thread striped monotonic counter.
-class StripedCounter {
+// A counter that one thread bumps and any thread may read. With a single
+// writer, add() is a relaxed load and store, not a locked read-modify-write;
+// a reader sees some recent value, never a torn one.
+class OwnedCounter {
  public:
   void add(std::uint64_t delta = 1) noexcept {
-    cells_[ThreadRegistry::current_id()].value.fetch_add(
-        delta, std::memory_order_relaxed);
+    n_.store(n_.load(std::memory_order_relaxed) + delta,
+             std::memory_order_relaxed);
   }
-
   std::uint64_t read() const noexcept {
-    std::uint64_t sum = 0;
-    const int hw = ThreadRegistry::high_watermark();
-    for (int i = 0; i < hw; ++i) {
-      sum += cells_[i].value.load(std::memory_order_relaxed);
-    }
-    return sum;
+    return n_.load(std::memory_order_relaxed);
   }
-
-  void reset() noexcept {
-    for (auto& c : cells_) c.value.store(0, std::memory_order_relaxed);
-  }
+  void reset() noexcept { n_.store(0, std::memory_order_relaxed); }
 
  private:
-  struct alignas(kCacheLineSize) Cell {
-    std::atomic<std::uint64_t> value{0};
-  };
-  Cell cells_[ThreadRegistry::kMaxThreads];
+  std::atomic<std::uint64_t> n_{0};
 };
 
 // Log2-bucketed latency histogram (single-threaded accumulation; merge
@@ -90,14 +78,13 @@ class Log2Histogram {
   std::uint64_t max_ = 0;
 };
 
-// Aggregated per-run STM statistics, merged across worker threads.
+// Aggregated per-run STM statistics, merged across sessions and runs.
 //
-// The obs-shaped fields (abort_reason, phase_ns/phase_count, hot_vars)
-// are present regardless of OFTM_OBS so report consumers see a stable
-// schema; with the gate off they simply stay zero/empty. Invariant with
-// the gate on: the abort_reason counts sum exactly to `aborts` — every
-// backend funnels each abort through exactly one attributed counter
-// (check_abort_reasons() asserts it at quiescent points).
+// A TM counts each abort once, under its obs::AbortReason; `aborts` and
+// `forced_aborts` are sums of those reason counts (core::SessionStats), so
+// the reasons always sum exactly to `aborts`. The phase and heat-map
+// fields are present regardless of OFTM_OBS so report consumers see a
+// stable schema; with the gate off they stay zero/empty.
 struct TxStats {
   std::uint64_t commits = 0;
   std::uint64_t aborts = 0;           // application-visible abort events
@@ -115,7 +102,7 @@ struct TxStats {
   // Merged conflict heat map, heaviest first.
   std::vector<obs::HotVar> hot_vars;
 
-  // Merge another thread's / run's view into this one. `merge` is the
+  // Merge another session's / run's view into this one. `merge` is the
   // canonical name; operator+= stays as the operator spelling existing
   // call sites use.
   TxStats& merge(const TxStats& o) {
@@ -159,16 +146,11 @@ struct TxStats {
     return total;
   }
 
-  // True when the reason taxonomy reconciles with the abort counter.
-  // Trivially true with OFTM_OBS off (no reasons are recorded). Only
-  // meaningful at quiescent points: mid-run, a racing abort may have
-  // bumped one counter but not yet the other.
+  // True when the reason taxonomy reconciles with the abort count. Holds
+  // by construction for a TM's stats(), and merge keeps it.
   bool abort_reasons_consistent() const noexcept {
-    return abort_reason_total() == (OFTM_OBS ? aborts : 0);
+    return abort_reason_total() == aborts;
   }
-
-  // OFTM_ASSERTs the reconciliation invariant (no-op when OFTM_OBS=0).
-  void check_abort_reasons() const;
 
   std::string to_string() const;
 

@@ -1,7 +1,7 @@
 // Dense thread-id assignment.
 //
-// Lock-free algorithms in this library (epoch reclamation, striped
-// counters, the Karma contention manager) need a small dense integer id per
+// Lock-free algorithms in this library (epoch reclamation, the TMs' session
+// tables, the Karma contention manager) need a small dense integer id per
 // participating thread. Ids are assigned on first use and recycled when the
 // thread exits, so long-running benchmark processes that spawn thread pools
 // repeatedly do not leak slots.

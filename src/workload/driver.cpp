@@ -225,9 +225,6 @@ RunResult run_bank_workload(core::TransactionalMemory& tm, int threads,
     total.merge_from(arena.local);
   }
   total.tm_stats = tm.stats();
-#if OFTM_OBS
-  total.tm_stats.check_abort_reasons();
-#endif
   return total;
 }
 

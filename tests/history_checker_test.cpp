@@ -5,9 +5,15 @@
 // which must be rejected.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+#include <vector>
+
 #include "history/checker.hpp"
 #include "history/event.hpp"
 #include "history/recorder.hpp"
+#include "workload/driver.hpp"
+#include "workload/factory.hpp"
 
 namespace oftm::history {
 namespace {
@@ -272,6 +278,87 @@ TEST(Recorder, DigestsTransactions) {
   EXPECT_FALSE(txns[1].forcefully_aborted());
   EXPECT_TRUE(txns[0].precedes(txns[1]) ||
               txns[0].last_seq > txns[1].first_seq);
+}
+
+// Every field of every digested record, in order: equal strings mean
+// identical digests.
+std::string describe(const std::vector<TxRecord>& txns) {
+  std::string out;
+  for (const TxRecord& r : txns) {
+    out += std::to_string(r.id) + " p" + std::to_string(r.pid) + " s" +
+           std::to_string(static_cast<int>(r.final_status)) +
+           (r.requested_abort ? " tryA" : "") +
+           (r.commit_pending ? " pending" : "") + " [" +
+           std::to_string(r.first_seq) + "," + std::to_string(r.last_seq) +
+           "]:";
+    for (const TxOp& op : r.ops) {
+      out += " " + std::string(to_string(op.op)) + "(" +
+             std::to_string(op.tvar) + "," + std::to_string(op.arg) + "," +
+             std::to_string(op.result) + (op.aborted ? ",A" : "") + ")@" +
+             std::to_string(op.inv_seq) + "-" + std::to_string(op.resp_seq);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(Recorder, WorkerCountNeverChangesDigestOrDiagnostic) {
+  auto tm = workload::make_tm("tl2", 16);
+  Recorder rec;
+  RecordingTm recorded(*tm, rec);
+  workload::WorkloadConfig config;
+  config.threads = 4;
+  config.tx_per_thread = 100;
+  config.ops_per_tx = 4;
+  config.write_fraction = 0.5;
+  config.seed = 0x5EED;
+  (void)workload::run_workload(recorded, config);
+  std::vector<Event> events = rec.events();
+  ASSERT_GT(events.size(), 1000u);
+
+  const std::string digest = describe(Recorder::transactions(events));
+  for (const int workers : {1, 2, 8}) {
+    EXPECT_EQ(describe(Recorder::transactions(events, workers)), digest)
+        << workers << " workers";
+    EXPECT_EQ(Recorder::check_well_formed(events, workers), "")
+        << workers << " workers";
+  }
+
+  // Malform the history at one event per pid, each a different kind of
+  // error, at increasing seqs: whichever worker owns the earliest one, its
+  // diagnostic must win.
+  std::vector<std::string> expected;
+  std::vector<int> broken_pids;
+  for (std::size_t i = events.size() / 4; i < events.size(); ++i) {
+    Event& e = events[i];
+    if (e.kind != Event::Kind::kResponse) continue;
+    bool seen = false;
+    for (const int pid : broken_pids) seen = seen || pid == e.pid;
+    if (seen) continue;
+    const std::string at = " at pid " + std::to_string(e.pid);
+    switch (broken_pids.size() % 2) {
+      case 0:
+        e.op = e.op == OpType::kRead ? OpType::kWrite : OpType::kRead;
+        expected.push_back("response does not match invocation" + at);
+        break;
+      case 1:
+        e.kind = Event::Kind::kInvoke;
+        expected.push_back("invocation while an operation is pending" + at);
+        break;
+    }
+    broken_pids.push_back(e.pid);
+  }
+  ASSERT_GE(broken_pids.size(), 2u);
+
+  const std::string malformed_digest =
+      describe(Recorder::transactions(events));
+  for (const int workers : {1, 2, 8}) {
+    EXPECT_EQ(Recorder::check_well_formed(events, workers), expected.front())
+        << workers << " workers";
+    EXPECT_EQ(describe(Recorder::transactions(events, workers)),
+              malformed_digest)
+        << workers << " workers";
+  }
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Tests for the observability layer (src/obs/): phase-timer calibration,
 // the conflict heat map, abort-reason attribution and its reconciliation
-// invariant across every backend recipe, the trace sink's ring/sampling
-// determinism, and the contention-manager decision counters.
+// invariant across every backend recipe, and the trace sink's
+// ring/sampling determinism.
 //
 // The suite is built under whatever OFTM_OBS the tree was configured
-// with: attribution assertions are gated on the macro, while the schema
-// (TxStats fields, trace sink surface) is exercised in both modes.
+// with: phase and heat-map assertions are gated on the macro, while abort
+// attribution and the schema (TxStats fields, trace sink surface) are
+// exercised in both modes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,8 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "cm/managers.hpp"
 #include "core/atomically.hpp"
+#include "core/tm.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/profile.hpp"
 #include "obs/taxonomy.hpp"
@@ -125,7 +126,7 @@ TEST(ObsPhaseSampling, StrideElectsExactlyOneTransactionPerWindow) {
 }
 
 TEST(ObsScopedPhase, SampledScopeRecordsIntoTheOwningCell) {
-  obs::TmObs tm_obs;
+  obs::PhaseSums sums;
   // Elect the current "transaction" deterministically.
   const std::uint64_t stride = obs::phase_sample_stride();
   for (std::uint64_t i = 0; i < stride; ++i) {
@@ -134,14 +135,13 @@ TEST(ObsScopedPhase, SampledScopeRecordsIntoTheOwningCell) {
   }
   ASSERT_TRUE(obs::tx_sampled());
   {
-    OFTM_OBS_PHASE(tm_obs, obs::Phase::kValidation);
+    OFTM_OBS_PHASE(sums, obs::Phase::kValidation);
     volatile std::uint64_t sink = 0;
     for (int i = 0; i < 10000; ++i) sink = sink + 1;
   }
   std::uint64_t phase_ns[obs::kNumPhases] = {};
   std::uint64_t phase_count[obs::kNumPhases] = {};
-  std::vector<obs::HotVar> hot;
-  tm_obs.collect(phase_ns, phase_count, hot);
+  sums.collect(phase_ns, phase_count);
   EXPECT_EQ(phase_count[static_cast<std::size_t>(obs::Phase::kValidation)],
             1u);
   for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
@@ -151,22 +151,43 @@ TEST(ObsScopedPhase, SampledScopeRecordsIntoTheOwningCell) {
   }
 }
 
-TEST(ObsReasonCounters, CountsPerReasonExactly) {
-  obs::ReasonCounters counters;
-  counters.add(obs::AbortReason::kCmKill);
-  counters.add(obs::AbortReason::kCmKill);
-  counters.add(obs::AbortReason::kLockTimeout);
-  EXPECT_EQ(
-      counters.read(static_cast<std::size_t>(obs::AbortReason::kCmKill)), 2u);
-  EXPECT_EQ(counters.read(
-                static_cast<std::size_t>(obs::AbortReason::kLockTimeout)),
-            1u);
-  EXPECT_EQ(counters.read(static_cast<std::size_t>(
-                obs::AbortReason::kReadValidation)),
-            0u);
-}
-
 #endif  // OFTM_OBS
+
+// ---------------------------------------------------------------------------
+// Session statistics: one count per reason, totals derived from them.
+// ---------------------------------------------------------------------------
+
+TEST(ObsReasonCounters, CountsPerReasonExactly) {
+  const auto at = [](obs::AbortReason r) {
+    return static_cast<std::size_t>(r);
+  };
+  core::SessionStats cell;
+  cell.aborts[at(obs::AbortReason::kCmKill)].add();
+  cell.aborts[at(obs::AbortReason::kCmKill)].add();
+  cell.aborts[at(obs::AbortReason::kLockTimeout)].add();
+  cell.aborts[at(obs::AbortReason::kExplicitRetry)].add();
+  runtime::TxStats s;
+  std::vector<obs::HotVar> hot;
+  cell.add_to(s, hot);
+  EXPECT_EQ(s.abort_reason[at(obs::AbortReason::kCmKill)], 2u);
+  EXPECT_EQ(s.abort_reason[at(obs::AbortReason::kLockTimeout)], 1u);
+  EXPECT_EQ(s.abort_reason[at(obs::AbortReason::kExplicitRetry)], 1u);
+  EXPECT_EQ(s.abort_reason[at(obs::AbortReason::kReadValidation)], 0u);
+  // The totals are sums of the reasons; explicit retries are requested,
+  // not forced.
+  EXPECT_EQ(s.aborts, 4u);
+  EXPECT_EQ(s.forced_aborts, 3u);
+  EXPECT_TRUE(s.abort_reasons_consistent());
+  // A second session's cell adds on top.
+  cell.add_to(s, hot);
+  EXPECT_EQ(s.abort_reason[at(obs::AbortReason::kCmKill)], 4u);
+  EXPECT_EQ(s.aborts, 8u);
+  cell.reset();
+  runtime::TxStats zero;
+  cell.add_to(zero, hot);
+  EXPECT_EQ(zero.aborts, 0u);
+  EXPECT_EQ(zero.abort_reason_total(), 0u);
+}
 
 // ---------------------------------------------------------------------------
 // TxStats: merge consistency and the reconciliation invariant.
@@ -208,10 +229,7 @@ TEST(ObsTxStats, MergeSumsReasonsPhasesAndHotVars) {
   EXPECT_EQ(a.hot_vars[0].hits, 7u);
   EXPECT_EQ(a.hot_vars[1].key, 9u);
   EXPECT_EQ(a.hot_vars[1].hits, 3u);
-#if OFTM_OBS
   EXPECT_TRUE(a.abort_reasons_consistent());
-  a.check_abort_reasons();
-#endif
 }
 
 TEST(ObsTxStats, ForcedAbortRatioIsZeroWithoutAborts) {
@@ -238,16 +256,11 @@ TEST_P(ObsReconciliationTest, AbortReasonsSumToAbortsUnderContention) {
   config.ops_per_tx = 4;
   config.write_fraction = 0.5;
   config.seed = 0xAB0A7;
-  // run_workload itself OFTM_ASSERTs the invariant after join; re-check
-  // through the public predicate so a failure reads as a test failure.
   const workload::RunResult r = workload::run_workload(*tm, config);
   const runtime::TxStats s = r.tm_stats;
   EXPECT_TRUE(s.abort_reasons_consistent())
       << "sum(abort_reason)=" << s.abort_reason_total()
       << " aborts=" << s.aborts << " for " << GetParam();
-#if !OFTM_OBS
-  EXPECT_EQ(s.abort_reason_total(), 0u);
-#endif
   EXPECT_EQ(r.committed, 1600u);
 }
 
@@ -276,12 +289,10 @@ TEST(ObsAttribution, ExplicitRetryIsAttributedToTheRetryReason) {
   EXPECT_EQ(s.commits, 1u);
   EXPECT_EQ(s.aborts, 1u);
   EXPECT_EQ(s.forced_aborts, 0u);
-#if OFTM_OBS
   EXPECT_EQ(s.abort_reason[static_cast<std::size_t>(
                 obs::AbortReason::kExplicitRetry)],
             1u);
-  s.check_abort_reasons();
-#endif
+  EXPECT_TRUE(s.abort_reasons_consistent());
 }
 
 TEST(ObsAttribution, CancelIsAttributedToUserRequested) {
@@ -293,34 +304,10 @@ TEST(ObsAttribution, CancelIsAttributedToUserRequested) {
   EXPECT_EQ(s.commits, 0u);
   EXPECT_EQ(s.aborts, 1u);
   EXPECT_EQ(s.forced_aborts, 0u);
-#if OFTM_OBS
   EXPECT_EQ(s.abort_reason[static_cast<std::size_t>(
                 obs::AbortReason::kUserRequested)],
             1u);
-  s.check_abort_reasons();
-#endif
-}
-
-// ---------------------------------------------------------------------------
-// Contention-manager decision counters.
-// ---------------------------------------------------------------------------
-
-TEST(ObsCmDecisions, DecideTalliesPerDecision) {
-  auto mgr = cm::make_manager("aggressive");  // always kAbortVictim
-  cm::Conflict c;
-  c.self_tid = 0;
-  c.victim_tid = 1;
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(mgr->decide(c), cm::Decision::kAbortVictim);
-  }
-  const cm::ContentionManager::DecisionCounts n = mgr->decision_counts();
-#if OFTM_OBS
-  EXPECT_EQ(n.aborted_victim, 3u);
-  EXPECT_EQ(n.waited, 0u);
-  EXPECT_EQ(n.aborted_self, 0u);
-#else
-  EXPECT_EQ(n.aborted_victim, 0u);
-#endif
+  EXPECT_TRUE(s.abort_reasons_consistent());
 }
 
 // ---------------------------------------------------------------------------

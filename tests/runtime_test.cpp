@@ -1,5 +1,5 @@
 // Unit tests for the runtime substrate: thread registry, epoch reclamation,
-// striped counters, histograms, PRNG, spin locks and barriers.
+// single-writer counters, histograms, PRNG, spin locks and barriers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -126,18 +126,28 @@ TEST(Epoch, ConcurrentRetireAndReclaimIsLeakFree) {
 
 // --- Stats -----------------------------------------------------------------
 
-TEST(StripedCounter, SumsAcrossThreads) {
-  StripedCounter c;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerThread; ++i) c.add();
-    });
+TEST(OwnedCounter, ReaderSeesMonotoneCountsWhileOwnerAdds) {
+  // One owner adds with a relaxed load and store; a concurrent reader
+  // must never see the count go backwards, and the final count is exact.
+  OwnedCounter c;
+  constexpr std::uint64_t kAdds = 200000;
+  std::atomic<bool> done{false};
+  std::thread owner([&] {
+    for (std::uint64_t i = 0; i < kAdds; ++i) c.add();
+    done.store(true, std::memory_order_release);
+  });
+  std::uint64_t last = 0;
+  bool monotone = true;
+  while (!done.load(std::memory_order_acquire)) {
+    const std::uint64_t now = c.read();
+    monotone = monotone && now >= last;
+    last = now;
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(c.read(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+  owner.join();
+  EXPECT_TRUE(monotone);
+  EXPECT_EQ(c.read(), kAdds);
+  c.reset();
+  EXPECT_EQ(c.read(), 0u);
 }
 
 TEST(Log2Histogram, QuantilesBracketRecordedValues) {

@@ -5,10 +5,15 @@
 // TxId sequencing intact across reuse, (d) produce identical stats
 // whether a workload runs through the virtual tier or the session tier,
 // and (e) finish an abandoned transaction without counting an abort.
+// Statistics live in the sessions, so (f) stats() must be readable while
+// workers count on theirs.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/tm.hpp"
@@ -191,6 +196,55 @@ TEST_P(SessionReuseTest, AbandonedTransactionsAreNotCountedAsAborts) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SessionReuseTest,
                          ::testing::ValuesIn(workload::all_backends()),
+                         conformance::backend_param_name);
+
+// The benchmark reads every TM's stats() in mid-run; stats() then walks
+// the session table while each worker counts in its own session. Commits
+// never go backwards between polls, and after the join the counts are
+// exact.
+class StatsWhileRunningTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(StatsWhileRunningTest, PollsNeverGoBackwardsAndSettleExactly) {
+  auto tm = workload::make_tm(GetParam(), 64);
+  workload::WorkloadConfig config;
+  config.threads = 4;
+  config.run_seconds = 0.25;
+  config.ops_per_tx = 4;
+  config.write_fraction = 0.5;
+  config.seed = 0x57A7;
+
+  std::atomic<bool> done{false};
+  std::vector<std::uint64_t> polled;
+  bool consistent = true;
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const runtime::TxStats s = tm->stats();
+      polled.push_back(s.commits);
+      consistent = consistent && s.abort_reasons_consistent();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  const workload::RunResult r = workload::run_workload(*tm, config);
+  done.store(true, std::memory_order_release);
+  poller.join();
+
+  const runtime::TxStats s = tm->stats();
+  EXPECT_EQ(s.commits, r.committed);
+  EXPECT_TRUE(s.abort_reasons_consistent());
+  EXPECT_TRUE(consistent);
+  bool mid_run = false;
+  for (std::size_t i = 0; i < polled.size(); ++i) {
+    if (i > 0) {
+      EXPECT_GE(polled[i], polled[i - 1]) << "poll " << i;
+    }
+    EXPECT_LE(polled[i], r.committed) << "poll " << i;
+    mid_run = mid_run || (polled[i] > 0 && polled[i] < r.committed);
+  }
+  EXPECT_TRUE(mid_run) << polled.size() << " polls, none mid-run";
+}
+
+INSTANTIATE_TEST_SUITE_P(Recipes, StatsWhileRunningTest,
+                         ::testing::Values("tl2", "norec-region"),
                          conformance::backend_param_name);
 
 // visit_tm and make_tm share one recipe grammar; a recipe constructible by

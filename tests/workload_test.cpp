@@ -273,7 +273,7 @@ TEST(Driver, LatencyHistogramsMatchStripedCounters) {
   const auto r = run_workload(*tm, config);
   EXPECT_EQ(r.committed, 2000u);
   // The per-thread latency histograms, merged at flush time, must account
-  // for exactly the commits the backend's striped counters saw.
+  // for exactly the commits the backend's per-session counters saw.
   EXPECT_EQ(r.commit_latency_ns.count(), r.committed);
   EXPECT_EQ(r.commit_latency_ns.count(), tm->stats().commits);
   EXPECT_EQ(r.retries_per_commit.count(), r.committed);
@@ -370,7 +370,7 @@ TEST(Driver, DurationModeRunsForTheConfiguredTime) {
   EXPECT_GT(r.committed, 2u);
   EXPECT_EQ(r.committed, tm->stats().commits);
   // Duration mode records latency per commit too; the merged histograms
-  // must agree with the striped backend counters.
+  // must agree with the backend's per-session counters.
   EXPECT_EQ(r.commit_latency_ns.count(), tm->stats().commits);
   EXPECT_EQ(r.retries_per_commit.count(), r.committed);
 }
