@@ -102,39 +102,9 @@ class Norec : public core::PooledTm<Norec<A>, typename A::Platform> {
   }
 
   std::optional<core::Value> read_at(Txn& tx, Loc loc) {
+    const std::optional<core::Value> v = read_uncounted(tx, loc);
+    // Counted after the read's loads, as in Tl2::read_at.
     this->stats_of(tx).reads.add();
-    if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
-
-    // Read-your-own-writes from the redo log. With the Bloom ablation a
-    // definite filter miss skips the probe.
-    {
-      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kReadLookup);
-      if (!tx.writes_.empty() &&
-          (!options_.bloom_reads ||
-           (tx.write_filter_ & bloom_mask(core::location_key(loc))) ==
-               bloom_mask(core::location_key(loc)))) {
-        if (const core::Value* w = tx.writes_.find(loc)) return *w;
-      }
-      // A private block: invisible to everyone else, so no snapshot
-      // discipline applies (and it must not enter the read set — its
-      // values may legitimately change in place under this transaction).
-      if (tx.log_.owns(loc)) return mem_.load(loc, std::memory_order_relaxed);
-    }
-
-    // Invisible read with post-validation: the value is consistent iff the
-    // sequence lock still equals our snapshot *after* the value load (no
-    // commit intervened). If the clock moved, revalidate the whole read
-    // set by value and adopt the newer snapshot.
-    core::Value v = mem_.load(loc, std::memory_order_seq_cst);
-    while (seqlock_.value.load(std::memory_order_seq_cst) != tx.snapshot_) {
-      if (!revalidate(tx)) {
-        abort_forced(tx, obs::AbortReason::kReadValidation,
-                     core::location_key(loc));
-        return std::nullopt;
-      }
-      v = mem_.load(loc, std::memory_order_seq_cst);
-    }
-    tx.reads_.push_back({loc, v});
     return v;
   }
 
@@ -215,6 +185,42 @@ class Norec : public core::PooledTm<Norec<A>, typename A::Platform> {
 
  private:
   friend Base;
+
+  std::optional<core::Value> read_uncounted(Txn& tx, Loc loc) {
+    if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
+
+    // Read-your-own-writes from the redo log. With the Bloom ablation a
+    // definite filter miss skips the probe.
+    {
+      OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kReadLookup);
+      if (!tx.writes_.empty() &&
+          (!options_.bloom_reads ||
+           (tx.write_filter_ & bloom_mask(core::location_key(loc))) ==
+               bloom_mask(core::location_key(loc)))) {
+        if (const core::Value* w = tx.writes_.find(loc)) return *w;
+      }
+      // A private block: invisible to everyone else, so no snapshot
+      // discipline applies (and it must not enter the read set — its
+      // values may legitimately change in place under this transaction).
+      if (tx.log_.owns(loc)) return mem_.load(loc, std::memory_order_relaxed);
+    }
+
+    // Invisible read with post-validation: the value is consistent iff the
+    // sequence lock still equals our snapshot *after* the value load (no
+    // commit intervened). If the clock moved, revalidate the whole read
+    // set by value and adopt the newer snapshot.
+    core::Value v = mem_.load(loc, std::memory_order_seq_cst);
+    while (seqlock_.value.load(std::memory_order_seq_cst) != tx.snapshot_) {
+      if (!revalidate(tx)) {
+        abort_forced(tx, obs::AbortReason::kReadValidation,
+                     core::location_key(loc));
+        return std::nullopt;
+      }
+      v = mem_.load(loc, std::memory_order_seq_cst);
+    }
+    tx.reads_.push_back({loc, v});
+    return v;
+  }
 
   // Re-arm a pooled descriptor: read/write-set capacity survives, nothing
   // allocates.

@@ -151,14 +151,16 @@ inline AbortReason last_abort_reason() noexcept { return detail::tls().last; }
 
 // RAII phase interval: records ticks into the given session's phase sums,
 // only when this transaction was elected by the sampling gate. Safe to
-// nest (inclusive timing, documented in taxonomy.hpp).
+// nest (inclusive timing, documented in taxonomy.hpp). Every scope on the
+// read path pays its constructor and destructor, so both are forced
+// inline, like OwnedCounter::add.
 class ScopedPhase {
  public:
-  ScopedPhase(PhaseSums& sums, Phase phase) noexcept
+  [[gnu::always_inline]] ScopedPhase(PhaseSums& sums, Phase phase) noexcept
       : sums_(tx_sampled() ? &sums : nullptr),
         phase_(phase),
         start_(sums_ != nullptr ? now_ticks() : 0) {}
-  ~ScopedPhase() {
+  [[gnu::always_inline]] ~ScopedPhase() {
     if (sums_ != nullptr) sums_->record(phase_, now_ticks() - start_);
   }
   ScopedPhase(const ScopedPhase&) = delete;

@@ -16,10 +16,13 @@ namespace oftm::runtime {
 
 // A counter that one thread bumps and any thread may read. With a single
 // writer, add() is a relaxed load and store, not a locked read-modify-write;
-// a reader sees some recent value, never a torn one.
+// a reader sees some recent value, never a torn one. add() sits on every
+// counted read and write, and GCC stops inlining it in the translation
+// units that instantiate every backend (--param inline-unit-growth), so
+// it is forced inline.
 class OwnedCounter {
  public:
-  void add(std::uint64_t delta = 1) noexcept {
+  [[gnu::always_inline]] void add(std::uint64_t delta = 1) noexcept {
     n_.store(n_.load(std::memory_order_relaxed) + delta,
              std::memory_order_relaxed);
   }
