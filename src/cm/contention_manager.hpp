@@ -48,7 +48,6 @@ class ContentionManager {
   virtual void on_tx_begin(int tid, core::TxId tx) { (void)tid; (void)tx; }
   virtual void on_open(int tid) { (void)tid; }
   virtual void on_commit(int tid) { (void)tid; }
-  virtual void on_abort(int tid) { (void)tid; }
 
   virtual std::string name() const = 0;
 };

@@ -26,12 +26,6 @@ Decision Karma::on_conflict(const Conflict& c) {
   return Decision::kWait;
 }
 
-void Karma::on_tx_begin(int tid, core::TxId) {
-  // Karma persists across aborts (that is the point: a transaction that
-  // keeps losing accumulates priority) and resets on commit.
-  (void)tid;
-}
-
 void Karma::on_open(int tid) {
   slots_[tid].karma.fetch_add(1, std::memory_order_relaxed);
 }

@@ -72,11 +72,11 @@ class Randomized final : public ContentionManager {
 // Karma: priority = accumulated opens (work done). A requester kills a
 // victim with no more karma than itself plus its patience so far; otherwise
 // it waits, and each wait adds patience, so every conflict resolves in
-// bounded consultations.
+// bounded consultations. Karma persists across aborts (a transaction that
+// keeps losing accumulates priority) and resets on commit.
 class Karma final : public ContentionManager {
  public:
   Decision on_conflict(const Conflict& c) override;
-  void on_tx_begin(int tid, core::TxId) override;
   void on_open(int tid) override;
   void on_commit(int tid) override;
   std::string name() const override { return "karma"; }

@@ -333,7 +333,6 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
     if (tx.desc_->status.compare_exchange_strong(
             expected, core::TxStatus::kAborted, std::memory_order_acq_rel)) {
       this->count_requested_abort(tx);
-      cm_->on_abort(tx.cm_tid_);
     }
     release(tx);
   }
@@ -457,7 +456,6 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
                 expected, core::TxStatus::kAborted,
                 std::memory_order_acq_rel)) {
           this->stats_of(tx).victim_kills.add();
-          cm_->on_abort(c.victim_tid);
         }
         // Owner is now resolved either way; re-resolve without pausing.
         const core::TxStatus st2 =
@@ -499,7 +497,6 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
     tx.desc_->status.compare_exchange_strong(
         expected, core::TxStatus::kAborted, std::memory_order_acq_rel);
     this->count_forced_abort(tx, reason, key);  // not requested via tryA
-    cm_->on_abort(tx.cm_tid_);
     release(tx);
   }
 
@@ -507,7 +504,6 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
   // kill, or a visible-reads sweep): account the forced abort.
   void on_forced_abort(Txn& tx, std::uint64_t key = obs::kNoKey) {
     this->count_forced_abort(tx, obs::AbortReason::kCmKill, key);
-    cm_->on_abort(tx.cm_tid_);
     release(tx);
   }
 
@@ -544,7 +540,6 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
               expected, core::TxStatus::kAborted,
               std::memory_order_acq_rel)) {
         this->stats_of(tx).victim_kills.add();
-        cm_->on_abort(core::tx_id_thread(reader->id));
       }
       // Whoever nulls the entry drops its reference.
       TxDesc* cur = reader;

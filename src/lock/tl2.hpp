@@ -35,8 +35,10 @@
 
 namespace oftm::lock {
 
+// Spins per commit-time lock before the committer self-aborts.
+inline constexpr int kTl2LockPatience = 64;
+
 struct Tl2Options {
-  int lock_patience = 64;  // spins per commit-time lock before self-abort
   // Read-version extension: on a stale read (version > rv), revalidate the
   // read set against the current clock and, if every recorded version is
   // untouched, adopt the new clock value as rv instead of aborting. The
@@ -160,7 +162,7 @@ class Tl2 : public core::PooledTm<Tl2<A>, typename A::Platform> {
               break;
             }
           }
-          if (++spin > options_.lock_patience) {
+          if (++spin > kTl2LockPatience) {
             unlock(tx);
             abort_forced(tx, obs::AbortReason::kLockTimeout, e.key);
             return false;

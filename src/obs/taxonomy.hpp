@@ -9,7 +9,8 @@
 //
 // The OFTM_OBS gate also lives here so every translation unit sees the
 // same setting: 1 (default) compiles the phase timing, the conflict heat
-// map and the trace sink in, 0 compiles them away (CMake -DOFTM_OBS=OFF).
+// map and the driver's tracing in, 0 compiles them away (CMake
+// -DOFTM_OBS=OFF).
 // Abort reasons are not gated: every abort is counted once, under its
 // reason, and TxStats derives its abort totals from those counts. TxStats
 // keeps its phase and heat-map fields in both modes — they stay zero when

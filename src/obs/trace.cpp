@@ -4,9 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 
 #include "obs/phase_timer.hpp"
@@ -40,230 +38,99 @@ double ns_per_tick() noexcept {
 
 // --- Phase sampling stride (declared in profile.hpp). ------------------
 
-static std::uint64_t env_u64(const char* name, std::uint64_t fallback,
-                             std::uint64_t min_value) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s) return fallback;
-  return v < min_value ? min_value : static_cast<std::uint64_t>(v);
-}
-
 std::uint64_t phase_sample_stride() noexcept {
-  static const std::uint64_t stride = env_u64("OFTM_OBS_SAMPLE", 8, 1);
+  static const std::uint64_t stride = [] {
+    const char* s = std::getenv("OFTM_OBS_SAMPLE");
+    if (s == nullptr || *s == '\0') return std::uint64_t{8};
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(s, &end, 10);
+    if (end == s) return std::uint64_t{8};
+    return v < 1 ? std::uint64_t{1} : static_cast<std::uint64_t>(v);
+  }();
   return stride;
 }
 
-// --- TraceSink. --------------------------------------------------------
+// --- Run-owned trace spans. --------------------------------------------
 
-namespace {
-
-struct Ring {
-  std::mutex m;
-  std::vector<TraceEvent> buf;
-  std::size_t cap = 0;
-  std::size_t head = 0;       // next overwrite position once full
-  std::uint64_t written = 0;  // sampled events ever written
-  std::uint64_t seq = 0;      // record() calls, drives the sample stride
-};
-
-}  // namespace
-
-struct TraceSink::Impl {
-  std::mutex registry_m;
-  std::vector<std::unique_ptr<Ring>> rings;
-  std::vector<Ring*> free_rings;  // recycled from exited threads
-  std::set<std::string> interned;
-  std::string path;
-  // Read on the record path without the registry lock; written only by
-  // configure()/the constructor (before workers exist in practice, but
-  // keep them race-free regardless).
-  std::atomic<std::size_t> capacity{8192};
-  std::atomic<std::uint64_t> stride{1};
-
-  Ring* acquire_ring() {
-    std::lock_guard<std::mutex> lock(registry_m);
-    if (!free_rings.empty()) {
-      Ring* r = free_rings.back();
-      free_rings.pop_back();
-      return r;
-    }
-    rings.push_back(std::make_unique<Ring>());
-    Ring* r = rings.back().get();
-    r->cap = capacity.load(std::memory_order_relaxed);
-    r->buf.reserve(r->cap);
-    return r;
-  }
-
-  void release_ring(Ring* r) {
-    std::lock_guard<std::mutex> lock(registry_m);
-    // Keep the events: the ring drains at the next flush/snapshot; a new
-    // thread picking it up appends after them.
-    free_rings.push_back(r);
-  }
-};
-
-namespace {
-
-// Thread-exit hook returning the ring to the sink's free list.
-struct RingHandle {
-  TraceSink::Impl* impl = nullptr;
-  Ring* ring = nullptr;
-  ~RingHandle();
-};
-
-}  // namespace
-
-RingHandle::~RingHandle() {
-  if (impl != nullptr && ring != nullptr) impl->release_ring(ring);
+std::string trace_file() {
+  const char* path = std::getenv("OFTM_TRACE_FILE");
+  return path != nullptr ? path : "";
 }
 
 namespace {
-thread_local RingHandle t_ring;
-}  // namespace
 
-TraceSink::TraceSink() : impl_(new Impl) {
-  if (const char* path = std::getenv("OFTM_TRACE_FILE");
-      path != nullptr && *path != '\0') {
-    impl_->path = path;
-    impl_->capacity.store(
-        static_cast<std::size_t>(env_u64("OFTM_TRACE_RING", 8192, 16)),
-        std::memory_order_relaxed);
-    impl_->stride.store(env_u64("OFTM_TRACE_SAMPLE", 1, 1),
-                        std::memory_order_relaxed);
-    enabled_.store(true, std::memory_order_relaxed);
-    // Belt and braces for harnesses that never reach a driver-side
-    // flush: dump whatever the rings hold at process exit. impl_ is
-    // deliberately leaked, so this is safe at any exit time.
-    std::atexit([] { TraceSink::instance().flush(); });
+// A span in the process's trace document.
+struct Kept {
+  Span span;
+  std::uint32_t tid;      // worker index
+  std::uint32_t backend;  // index into the document's backend names
+};
+
+void write_document(const std::string& path,
+                    const std::vector<std::string>& backends,
+                    const std::vector<std::vector<Kept>>& workers) {
+  std::vector<const Kept*> events;
+  for (const auto& kept : workers) {
+    for (const Kept& k : kept) events.push_back(&k);
   }
-}
-
-TraceSink& TraceSink::instance() {
-  static TraceSink* sink = new TraceSink();  // leaked: see atexit note
-  return *sink;
-}
-
-void TraceSink::record(const TraceEvent& e) noexcept {
-  if (!enabled()) return;
-  if (t_ring.ring == nullptr) {
-    t_ring.impl = impl_;
-    t_ring.ring = impl_->acquire_ring();
-  }
-  Ring& r = *t_ring.ring;
-  std::lock_guard<std::mutex> lock(r.m);
-  if (r.seq++ % impl_->stride.load(std::memory_order_relaxed) != 0) return;
-  if (r.buf.size() < r.cap) {
-    r.buf.push_back(e);
-  } else if (r.cap != 0) {
-    r.buf[r.head] = e;
-    r.head = (r.head + 1) % r.cap;
-  }
-  ++r.written;
-}
-
-const char* TraceSink::intern(const std::string& name) {
-  std::lock_guard<std::mutex> lock(impl_->registry_m);
-  return impl_->interned.insert(name).first->c_str();
-}
-
-std::vector<TraceEvent> TraceSink::snapshot() const {
-  std::vector<TraceEvent> out;
-  std::lock_guard<std::mutex> registry_lock(impl_->registry_m);
-  for (const auto& rp : impl_->rings) {
-    Ring& r = *rp;
-    std::lock_guard<std::mutex> lock(r.m);
-    if (r.written <= r.buf.size()) {
-      out.insert(out.end(), r.buf.begin(), r.buf.end());
-    } else {
-      // Wrapped: oldest surviving event sits at head.
-      out.insert(out.end(), r.buf.begin() + static_cast<std::ptrdiff_t>(
-                                                r.head),
-                 r.buf.end());
-      out.insert(out.end(), r.buf.begin(),
-                 r.buf.begin() + static_cast<std::ptrdiff_t>(r.head));
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.start_ticks < b.start_ticks;
+  std::stable_sort(events.begin(), events.end(),
+                   [](const Kept* a, const Kept* b) {
+                     return a->span.start_ticks < b->span.start_ticks;
                    });
-  return out;
-}
-
-std::uint64_t TraceSink::dropped() const noexcept {
-  std::uint64_t total = 0;
-  std::lock_guard<std::mutex> lock(impl_->registry_m);
-  for (const auto& rp : impl_->rings) {
-    std::lock_guard<std::mutex> ring_lock(rp->m);
-    if (rp->written > rp->buf.size()) total += rp->written - rp->buf.size();
-  }
-  return total;
-}
-
-void TraceSink::flush() {
-  if (!enabled() || impl_->path.empty()) return;
-  const std::vector<TraceEvent> events = snapshot();
-  std::FILE* f = std::fopen(impl_->path.c_str(), "w");
+  std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return;
   const double tick_ns = ns_per_tick();
   const std::uint64_t base =
-      events.empty() ? 0 : events.front().start_ticks;
+      events.empty() ? 0 : events.front()->span.start_ticks;
   std::fputs("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n", f);
   bool first = true;
-  for (const TraceEvent& e : events) {
+  for (const Kept* k : events) {
+    const Span& e = k->span;
     const double ts_us =
         static_cast<double>(e.start_ticks - base) * tick_ns / 1000.0;
     const double dur_us = static_cast<double>(e.dur_ticks) * tick_ns / 1000.0;
-    const char* name = e.kind == SpanKind::kCommit
-                           ? "commit"
-                           : abort_reason_name(
-                                 static_cast<std::size_t>(e.reason));
+    const char* name =
+        e.committed ? "commit"
+                    : abort_reason_name(static_cast<std::size_t>(e.reason));
     std::fprintf(
         f,
         "%s{\"name\":\"%s%s\",\"cat\":\"tx\",\"ph\":\"X\",\"ts\":%.3f,"
         "\"dur\":%.3f,\"pid\":0,\"tid\":%u,\"args\":{\"tx\":%llu,"
         "\"attempt\":%u,\"backend\":\"%s\"}}",
-        first ? "" : ",\n",
-        e.kind == SpanKind::kCommit ? "" : "abort:", name, ts_us, dur_us,
-        static_cast<unsigned>(e.tid),
+        first ? "" : ",\n", e.committed ? "" : "abort:", name, ts_us, dur_us,
+        static_cast<unsigned>(k->tid),
         static_cast<unsigned long long>(e.tx_seq), e.attempt,
-        e.backend != nullptr ? e.backend : "");
+        backends[k->backend].c_str());
     first = false;
   }
   std::fputs("\n]}\n", f);
   std::fclose(f);
 }
 
-void TraceSink::configure(std::size_t ring_capacity,
-                          std::uint64_t sample_stride, std::string path) {
-  std::lock_guard<std::mutex> lock(impl_->registry_m);
-  impl_->capacity.store(ring_capacity, std::memory_order_relaxed);
-  impl_->stride.store(sample_stride < 1 ? 1 : sample_stride,
-                      std::memory_order_relaxed);
-  impl_->path = std::move(path);
-  enabled_.store(true, std::memory_order_relaxed);
-  for (auto& rp : impl_->rings) {
-    std::lock_guard<std::mutex> ring_lock(rp->m);
-    rp->buf.clear();
-    rp->buf.reserve(ring_capacity);
-    rp->cap = ring_capacity;
-    rp->head = 0;
-    rp->written = 0;
-    rp->seq = 0;
-  }
-}
+}  // namespace
 
-void TraceSink::reset() {
-  std::lock_guard<std::mutex> lock(impl_->registry_m);
-  for (auto& rp : impl_->rings) {
-    std::lock_guard<std::mutex> ring_lock(rp->m);
-    rp->buf.clear();
-    rp->head = 0;
-    rp->written = 0;
-    rp->seq = 0;
+void append_trace(const std::string& path, const std::string& backend,
+                  const std::vector<const SpanRing*>& rings) {
+  static std::mutex mu;
+  static std::vector<std::string> backends;
+  static std::vector<std::vector<Kept>> workers;  // oldest first
+  std::lock_guard<std::mutex> lock(mu);
+  const auto name = static_cast<std::uint32_t>(
+      std::find(backends.begin(), backends.end(), backend) -
+      backends.begin());
+  if (name == backends.size()) backends.push_back(backend);
+  if (workers.size() < rings.size()) workers.resize(rings.size());
+  for (std::size_t t = 0; t < rings.size(); ++t) {
+    std::vector<Kept>& kept = workers[t];
+    rings[t]->for_each([&](const Span& s) {
+      kept.push_back({s, static_cast<std::uint32_t>(t), name});
+    });
+    if (kept.size() > SpanRing::kCapacity) {
+      kept.erase(kept.begin(),
+                 kept.end() - static_cast<std::ptrdiff_t>(SpanRing::kCapacity));
+    }
   }
+  write_document(path, backends, workers);
 }
 
 }  // namespace oftm::obs

@@ -1,27 +1,23 @@
-// TraceSink: sampled per-thread transaction-lifecycle rings, exported as
-// Chrome trace_event JSON (loadable in perfetto / chrome://tracing).
+// Run-owned trace spans: one span per transaction attempt of the workload
+// driver, exported as Chrome trace_event JSON (loadable in perfetto /
+// chrome://tracing).
 //
-// Activation mirrors the report layer: setting $OFTM_TRACE_FILE enables
-// the sink and names the output file. When the variable is absent the
-// sink is a dead branch — record() returns on one cold bool, nothing is
-// allocated, so the allocation-free guarantees and bench numbers are
-// untouched by merely linking this layer.
+// A run is traced when $OFTM_TRACE_FILE names a file as the run starts.
+// Each worker then records into the SpanRing in its own arena, sized
+// before the start barrier, with plain stores: no lock, no allocation. A
+// full ring overwrites its oldest span, so a long run keeps each worker's
+// newest kCapacity spans.
 //
-// Each recording thread owns a fixed-capacity ring (capacity from
-// $OFTM_TRACE_RING, default 8192 events); overflow overwrites the oldest
-// events and bumps a drop counter, so a long run exports its tail, never
-// OOMs. Sampling is a per-ring counter stride ($OFTM_TRACE_SAMPLE,
-// default 1 — every attempt): counter-based rather than random so a
-// fixed-seed run retains a deterministic event set (obs_test pins this).
-// Rings are recycled through a free list on thread exit, so repeated
-// runs reuse memory instead of accumulating dead rings.
+// After the join the driver hands the run's rings to append_trace(), which
+// adds them to the process's one trace document and rewrites the file
+// with all of it, so every traced run of a process reaches the file. The
+// document keeps the newest kCapacity spans per worker index.
 //
 // Timestamps are raw TSC ticks at record time, converted to microseconds
-// and rebased to the earliest event at flush() — perfetto gets a trace
-// that starts near t=0.
+// and rebased to the earliest span when the file is written.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -30,62 +26,50 @@
 
 namespace oftm::obs {
 
-enum class SpanKind : std::uint8_t {
-  kCommit = 0,
-  kAbort = 1,
-};
-
-struct TraceEvent {
+struct Span {
   std::uint64_t start_ticks = 0;
   std::uint64_t dur_ticks = 0;
-  std::uint64_t tx_seq = 0;  // per-worker logical transaction ordinal
+  std::uint64_t tx_seq = 0;  // the worker's logical transaction ordinal
   std::uint32_t attempt = 0;
-  std::uint16_t tid = 0;
-  SpanKind kind = SpanKind::kCommit;
-  AbortReason reason = AbortReason::kUserRequested;  // valid for kAbort
-  const char* backend = nullptr;  // interned; may be null
+  bool committed = false;
+  AbortReason reason = AbortReason::kUserRequested;  // aborts only
 };
 
-class TraceSink {
+// One worker's spans of one run.
+class SpanRing {
  public:
-  // Process-wide sink, configured from the environment on first use.
-  static TraceSink& instance();
+  static constexpr std::size_t kCapacity = 8192;  // a power of two
 
-  bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
+  // Allocates every slot; call before the run, never while recording.
+  void reserve() { slots_.resize(kCapacity); }
+
+  void record(const Span& s) noexcept {
+    slots_[recorded_++ & (kCapacity - 1)] = s;
   }
 
-  // Record one attempt span into the calling thread's ring (sampled;
-  // no-op when disabled). Never allocates after the thread's first
-  // sampled record.
-  void record(const TraceEvent& e) noexcept;
-
-  // Intern a backend name so events can carry a pointer that outlives
-  // the worker threads (called once per worker, not per event).
-  const char* intern(const std::string& name);
-
-  // Merge every ring, oldest-first per ring, sorted by start time.
-  std::vector<TraceEvent> snapshot() const;
-
-  std::uint64_t dropped() const noexcept;
-
-  // Rewrite the configured trace file with the full current snapshot as
-  // Chrome trace JSON. No-op when disabled or no path is configured.
-  void flush();
-
-  // Test hooks: (re)configure in place — enable without the env var,
-  // with explicit capacity/stride and an optional output path — and
-  // clear all rings.
-  void configure(std::size_t ring_capacity, std::uint64_t sample_stride,
-                 std::string path);
-  void reset();
-
-  struct Impl;  // public only for the thread-exit ring-recycling hook
+  // Calls fn(const Span&) on the kept spans, oldest first.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    const std::uint64_t first =
+        recorded_ > kCapacity ? recorded_ - kCapacity : 0;
+    for (std::uint64_t i = first; i < recorded_; ++i) {
+      fn(slots_[i & (kCapacity - 1)]);
+    }
+  }
 
  private:
-  TraceSink();
-  Impl* impl_;
-  std::atomic<bool> enabled_{false};
+  std::vector<Span> slots_;
+  std::uint64_t recorded_ = 0;
 };
+
+// The file $OFTM_TRACE_FILE names, read afresh on every call; empty when
+// the variable is unset or empty.
+std::string trace_file();
+
+// Adds one run's spans to the process's trace document (rings[t] holds
+// worker t's, recorded on `backend`) and rewrites `path` with the whole
+// document.
+void append_trace(const std::string& path, const std::string& backend,
+                  const std::vector<const SpanRing*>& rings);
 
 }  // namespace oftm::obs

@@ -105,9 +105,7 @@ struct TxStats {
   // Merged conflict heat map, heaviest first.
   std::vector<obs::HotVar> hot_vars;
 
-  // Merge another session's / run's view into this one. `merge` is the
-  // canonical name; operator+= stays as the operator spelling existing
-  // call sites use.
+  // Merge another session's / run's view into this one.
   TxStats& merge(const TxStats& o) {
     commits += o.commits;
     aborts += o.aborts;
@@ -126,8 +124,6 @@ struct TxStats {
     merge_hot_vars(o.hot_vars);
     return *this;
   }
-
-  TxStats& operator+=(const TxStats& o) { return merge(o); }
 
   double abort_ratio() const noexcept {
     const double total = static_cast<double>(commits + aborts);

@@ -66,10 +66,6 @@ struct ServiceConfig {
   // backoff up to this many attempts before the client gives up on it.
   int max_transfer_attempts = 1'000'000;
 
-  // Off by default: the service targets oversubscribed client counts
-  // (clients >> cores), where pinning would serialize the world.
-  bool pin_threads = false;
-
   // Extra t-variables appended to every shard's TM beyond the container
   // layout — scratch space the checked-stress harness writes its recorded
   // projection through (tests/svc_checked_stress_test.cpp).

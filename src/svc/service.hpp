@@ -33,7 +33,6 @@
 #include "runtime/barrier.hpp"
 #include "runtime/cacheline.hpp"
 #include "runtime/stats.hpp"
-#include "runtime/topology.hpp"
 #include "runtime/xorshift.hpp"
 #include "svc/config.hpp"
 #include "svc/coordinator.hpp"
@@ -241,8 +240,9 @@ class KvServiceT {
     SvcRunResult local;
   };
 
+  // Clients run unpinned: the service targets oversubscribed client
+  // counts (clients >> cores), where pinning would serialize the world.
   void client_loop(int t, ClientArena& arena, runtime::SpinBarrier& barrier) {
-    if (cfg_.pin_threads) runtime::pin_current_thread(t);
     runtime::Xoshiro256 rng(runtime::mix64(
         cfg_.seed * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(t) + 1));
     workload::ZipfSampler zipf(

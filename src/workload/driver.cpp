@@ -114,7 +114,7 @@ void RunResult::accumulate_run(const RunResult& o) {
   for (std::size_t i = 0; i < o.per_thread_committed.size(); ++i) {
     per_thread_committed[i] += o.per_thread_committed[i];
   }
-  tm_stats += o.tm_stats;
+  tm_stats.merge(o.tm_stats);
 }
 
 std::string RunResult::to_string() const {

@@ -4,10 +4,11 @@
 // invariant the checkers can verify afterwards.
 //
 // Scaling design: each worker owns a cache-line-isolated arena (its
-// pre-generated access lists, its RunResult counters and its latency
-// histograms). The hot path touches only that arena; results are flushed
-// into the shared aggregate exactly once, at run end, so driver overhead
-// stays flat as thread counts grow.
+// pre-generated access lists, its RunResult counters, its latency
+// histograms and, when the run is traced, its trace spans). The hot path
+// touches only that arena; results are flushed into the shared aggregate
+// exactly once, at run end, so driver overhead stays flat as thread
+// counts grow.
 //
 // Execution tiers: the measured loop runs on the pooled-session hot tier —
 // each worker begins every transaction on its own TmSession, so after
@@ -172,10 +173,12 @@ inline constexpr std::size_t kArenaSpecs = 1024;
 
 // Everything a worker touches on the hot path, isolated on its own cache
 // line(s): pre-generated access lists, private result counters and
-// histograms. No shared writes until flush at run end.
+// histograms, and one span per attempt when the run is traced. No shared
+// writes until flush at run end.
 struct alignas(runtime::kCacheLineSize) WorkerArena {
   std::vector<TxSpec> specs;
   RunResult local;
+  obs::SpanRing spans;  // sized only when the run is traced
 };
 
 // Draw the access lists for one worker into its arena, before the start
@@ -198,6 +201,10 @@ RunResult run_workload_impl(Tm& tm, const WorkloadConfig& config) {
   runtime::SpinBarrier barrier(static_cast<std::uint32_t>(config.threads) + 1);
   std::vector<std::thread> workers;
   std::vector<WorkerArena> arenas(static_cast<std::size_t>(config.threads));
+#if OFTM_OBS
+  // A run is traced iff $OFTM_TRACE_FILE names a file as it starts.
+  const std::string trace_path = obs::trace_file();
+#endif
 
   for (int t = 0; t < config.threads; ++t) {
     workers.emplace_back([&, t] {
@@ -212,13 +219,11 @@ RunResult run_workload_impl(Tm& tm, const WorkloadConfig& config) {
       // is the only generation state left on the hot path.
       std::uint64_t value_counter = 0;
 #if OFTM_OBS
-      // Trace wiring resolved once per worker, before the start barrier:
-      // when $OFTM_TRACE_FILE is unset `tracing` is a dead constant and
-      // the measured loop pays one untaken branch per attempt.
-      obs::TraceSink& trace_sink = obs::TraceSink::instance();
-      const bool tracing = trace_sink.enabled();
-      const char* trace_backend =
-          tracing ? trace_sink.intern(tm.name()) : nullptr;
+      // Sized before the start barrier, so recording a span is a plain
+      // store into the arena; untraced, the measured loop pays one
+      // untaken branch per attempt.
+      const bool tracing = !trace_path.empty();
+      if (tracing) arena.spans.reserve();
 #endif
 
       barrier.arrive_and_wait();
@@ -280,18 +285,12 @@ RunResult run_workload_impl(Tm& tm, const WorkloadConfig& config) {
           }
 #if OFTM_OBS
           if (tracing) {
-            obs::TraceEvent e;
-            e.start_ticks = span_start;
-            e.dur_ticks = obs::now_ticks() - span_start;
-            e.tx_seq = i;
-            e.attempt = static_cast<std::uint32_t>(attempt);
-            e.tid = static_cast<std::uint16_t>(t);
-            e.kind = done ? obs::SpanKind::kCommit : obs::SpanKind::kAbort;
-            // Valid for aborts only: the reason the backend stamped when it
-            // accounted this thread's most recent abort.
-            e.reason = obs::last_abort_reason();
-            e.backend = trace_backend;
-            trace_sink.record(e);
+            // An abort span carries the reason the backend noted when it
+            // counted this thread's most recent abort.
+            arena.spans.record(
+                {span_start, obs::now_ticks() - span_start, i,
+                 static_cast<std::uint32_t>(attempt), done,
+                 done ? obs::AbortReason{} : obs::last_abort_reason()});
           }
 #endif
         }
@@ -322,9 +321,13 @@ RunResult run_workload_impl(Tm& tm, const WorkloadConfig& config) {
   }
   total.tm_stats = tm.stats();
 #if OFTM_OBS
-  // Quiescent point (all workers joined): the trace file — if one is
-  // configured — is rewritten with everything recorded so far.
-  obs::TraceSink::instance().flush();
+  // The run's spans join the process's trace document, and the file is
+  // rewritten with all of it.
+  if (!trace_path.empty()) {
+    std::vector<const obs::SpanRing*> rings;
+    for (const WorkerArena& arena : arenas) rings.push_back(&arena.spans);
+    obs::append_trace(trace_path, tm.name(), rings);
+  }
 #endif
   return total;
 }

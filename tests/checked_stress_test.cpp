@@ -21,6 +21,11 @@
 // the runtime budget without adding coverage).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,7 +34,6 @@
 #include "dap/conflicts.hpp"
 #include "dstm/dstm.hpp"
 #include "history/checker.hpp"
-#include "obs/trace.hpp"
 #include "sim/env.hpp"
 #include "sim/platform.hpp"
 #include "tm_conformance.hpp"
@@ -90,13 +94,15 @@ TEST(CheckedStressHotKey, SingleHotKeyHundredThousandChecksWithinFiveSeconds) {
       << " s on a 100k-transaction single-hot-key history";
 }
 
-// Observability ride-along: the same checked run with the trace sink live
-// (ring + sampling active, no output file). Tracing instruments the attempt
-// loop of every worker; it must not perturb the recorded history's opacity,
-// and the abort-reason counters must still reconcile at scale.
+// Observability ride-along: the same checked run traced, with
+// $OFTM_TRACE_FILE naming a temporary file. Tracing records a span for
+// every attempt of every worker; it must not perturb the recorded
+// history's opacity, and the abort-reason counters must still reconcile
+// at scale.
 TEST(CheckedStressTraced, TracingDoesNotPerturbOpacity) {
-  obs::TraceSink::instance().configure(/*ring_capacity=*/8192,
-                                       /*sample_stride=*/7, "");
+  const std::string trace_path = ::testing::TempDir() + "oftm_trace_" +
+                                 std::to_string(getpid()) + "_stress.json";
+  ASSERT_EQ(setenv("OFTM_TRACE_FILE", trace_path.c_str(), 1), 0);
   for (const char* recipe : {"tl2", "dstm"}) {
     auto tm = conformance::make_conformance_tm(recipe, 1024);
     workload::WorkloadConfig config;
@@ -113,6 +119,11 @@ TEST(CheckedStressTraced, TracingDoesNotPerturbOpacity) {
         << "\nwitness: " << out.check.witness_str();
     EXPECT_TRUE(out.run.tm_stats.abort_reasons_consistent()) << recipe;
   }
+#if OFTM_OBS
+  EXPECT_TRUE(std::ifstream(trace_path).good()) << "the runs were not traced";
+#endif
+  unsetenv("OFTM_TRACE_FILE");
+  std::remove(trace_path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 // Lock-family specifics: TL's encounter-time two-phase locking, TL2's
-// global-clock validation and read-only fast path, Coarse's undo rollback —
-// the behaviours that make them the paper's comparison class.
+// global-clock validation, read-only fast path and commit-lock timeout,
+// Coarse's undo rollback — the behaviours that make them the paper's
+// comparison class.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "lock/coarse.hpp"
@@ -166,6 +168,48 @@ TEST(Tl2, CommitValidatesReadSet) {
     }
     EXPECT_FALSE(tm.try_commit(*txn));  // read of x is stale
     EXPECT_EQ(tm.read_quiescent(1), 0u);
+  });
+}
+
+// The commit-lock timeout: a committer that still finds a lock held after
+// kTl2LockPatience spins gives back the locks it took, at their pre-lock
+// versions, and aborts under lock_timeout.
+TEST(Tl2, CommitLockTimeoutRestoresTakenLocks) {
+  on_both_addressings([](auto& tm) {
+    auto& mem = tm.memory();
+    const std::uint32_t k0 = mem.meta_key(mem.loc(0));
+    const std::uint32_t k1 = mem.meta_key(mem.loc(1));
+    ASSERT_NE(k0, k1);
+    // Locks are taken in ascending key order: the committer takes `first`,
+    // then spins on `held`.
+    auto& first = mem.meta(std::min(k0, k1));
+    auto& held = mem.meta(std::max(k0, k1));
+    const std::uint64_t first_word = first.load();
+    const std::uint64_t free_word = held.load();
+    const std::uint64_t held_word =
+        LockWord::pack(LockWord::version(free_word), true);
+    held.store(held_word);
+
+    auto txn = tm.begin();
+    ASSERT_TRUE(tm.write(*txn, 0, 10));
+    ASSERT_TRUE(tm.write(*txn, 1, 11));
+    EXPECT_FALSE(tm.try_commit(*txn));
+    const runtime::TxStats s = tm.stats();
+    EXPECT_EQ(s.aborts, 1u);
+    EXPECT_EQ(s.abort_reason[static_cast<std::size_t>(
+                  obs::AbortReason::kLockTimeout)],
+              1u);
+    EXPECT_EQ(s.cm_backoffs, static_cast<std::uint64_t>(kTl2LockPatience));
+    EXPECT_EQ(first.load(), first_word);
+    EXPECT_EQ(held.load(), held_word);
+
+    held.store(free_word);
+    auto retry = tm.begin();
+    ASSERT_TRUE(tm.write(*retry, 0, 10));
+    ASSERT_TRUE(tm.write(*retry, 1, 11));
+    EXPECT_TRUE(tm.try_commit(*retry));
+    EXPECT_EQ(tm.read_quiescent(0), 10u);
+    EXPECT_EQ(tm.read_quiescent(1), 11u);
   });
 }
 

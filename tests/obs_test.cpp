@@ -1,12 +1,12 @@
 // Tests for the observability layer (src/obs/): phase-timer calibration,
 // the conflict heat map, abort-reason attribution and its reconciliation
-// invariant across every backend recipe, and the trace sink's
-// ring/sampling determinism.
+// invariant across every backend recipe, and the run-owned trace export.
 //
 // The suite is built under whatever OFTM_OBS the tree was configured
-// with: phase and heat-map assertions are gated on the macro, while abort
-// attribution and the schema (TxStats fields, trace sink surface) are
-// exercised in both modes.
+// with: phase, heat-map and trace assertions are gated on the macro
+// (with the gate off a traced run must write no file), while abort
+// attribution and the schema (TxStats fields) are exercised in both
+// modes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -311,107 +311,158 @@ TEST(ObsAttribution, CancelIsAttributedToUserRequested) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace sink: overflow, sampling determinism, Chrome JSON export.
-//
-// These tests run in declaration order and share the process-wide sink;
-// each starts by configure()-ing it into a known state.
+// Run-owned trace: a worker's span ring, the process's one trace document
+// and the Chrome JSON file it is written to. Tests switch tracing on the
+// way users do, by naming a file in $OFTM_TRACE_FILE.
 // ---------------------------------------------------------------------------
 
-obs::TraceEvent make_event(std::uint64_t seq) {
-  obs::TraceEvent e;
-  e.start_ticks = 1000 + seq;
-  e.dur_ticks = 10;
-  e.tx_seq = seq;
-  e.tid = 0;
-  return e;
-}
-
-TEST(ObsTraceSink, OverflowKeepsTheNewestEventsAndCountsDrops) {
-  obs::TraceSink& sink = obs::TraceSink::instance();
-  sink.configure(/*ring_capacity=*/16, /*sample_stride=*/1, "");
-  ASSERT_TRUE(sink.enabled());
-  for (std::uint64_t i = 0; i < 100; ++i) sink.record(make_event(i));
-  const std::vector<obs::TraceEvent> events = sink.snapshot();
-  ASSERT_EQ(events.size(), 16u);
-  EXPECT_EQ(sink.dropped(), 84u);
-  // The ring keeps the tail: the 16 most recent, in start order.
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].tx_seq, 84 + i);
+TEST(ObsSpanRing, FullRingKeepsTheNewestSpans) {
+  obs::SpanRing ring;
+  ring.reserve();
+  for (std::uint64_t i = 0; i < obs::SpanRing::kCapacity + 100; ++i) {
+    obs::Span s;
+    s.start_ticks = 1000 + i;
+    s.tx_seq = i;
+    ring.record(s);
   }
+  std::vector<std::uint64_t> kept;
+  ring.for_each([&](const obs::Span& s) { kept.push_back(s.tx_seq); });
+  ASSERT_EQ(kept.size(), obs::SpanRing::kCapacity);
+  // The ring keeps the tail, oldest first.
+  for (std::size_t i = 0; i < kept.size(); ++i) EXPECT_EQ(kept[i], 100 + i);
 }
 
-TEST(ObsTraceSink, CounterStrideSamplingIsDeterministic) {
-  obs::TraceSink& sink = obs::TraceSink::instance();
-  sink.configure(/*ring_capacity=*/1024, /*sample_stride=*/4, "");
-  for (std::uint64_t i = 0; i < 100; ++i) sink.record(make_event(i));
-  const std::vector<obs::TraceEvent> events = sink.snapshot();
-  ASSERT_EQ(events.size(), 25u);
-  // Counter-based (not random) sampling: a fixed run keeps a fixed set.
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].tx_seq, 4 * i);
+// Points $OFTM_TRACE_FILE at a fresh file for one test; the file is
+// removed afterwards.
+class ObsRunTrace : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "oftm_trace_" + std::to_string(getpid()) +
+            "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".json";
+    std::remove(path_.c_str());
+    ASSERT_EQ(setenv("OFTM_TRACE_FILE", path_.c_str(), 1), 0);
   }
-  EXPECT_EQ(sink.dropped(), 0u);
-}
 
-TEST(ObsTraceSink, FlushWritesLoadableChromeTraceJson) {
-  char path[] = "/tmp/oftm_obs_trace_XXXXXX";
-  const int fd = mkstemp(path);
-  ASSERT_GE(fd, 0);
-  obs::TraceSink& sink = obs::TraceSink::instance();
-  sink.configure(/*ring_capacity=*/64, /*sample_stride=*/1, path);
+  void TearDown() override {
+    unsetenv("OFTM_TRACE_FILE");
+    std::remove(path_.c_str());
+  }
 
-  obs::TraceEvent commit = make_event(0);
-  commit.backend = sink.intern("tl2");
-  sink.record(commit);
-  obs::TraceEvent aborted = make_event(1);
-  aborted.kind = obs::SpanKind::kAbort;
-  aborted.reason = obs::AbortReason::kReadValidation;
-  aborted.backend = commit.backend;
-  sink.record(aborted);
-  sink.flush();
+  bool file_exists() const { return std::ifstream(path_).good(); }
 
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string json = buf.str();
-  EXPECT_NE(json.find("\"displayTimeUnit\":\"ns\""), std::string::npos);
-  EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"commit\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"abort:read_validation\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"backend\":\"tl2\""), std::string::npos);
-  // The first event is rebased to ts=0.
-  EXPECT_NE(json.find("\"ts\":0.000"), std::string::npos);
-  // Balanced object: starts with '{' and the last non-space is '}'.
-  const std::size_t last = json.find_last_not_of(" \n");
-  ASSERT_NE(last, std::string::npos);
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json[last], '}');
+  std::string file() const {
+    std::ifstream in(path_);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  }
 
-  close(fd);
-  std::remove(path);
-  // Leave the sink path-less so later suites in this process cannot
-  // accidentally rewrite a deleted temp file at exit.
-  sink.configure(/*ring_capacity=*/64, /*sample_stride=*/1, "");
-}
+  // The "name" of every span in the file.
+  std::vector<std::string> span_names() const {
+    const std::string json = file();
+    const std::string key = "\"name\":\"";
+    std::vector<std::string> names;
+    for (std::size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at)) {
+      at += key.size();
+      const std::size_t end = json.find('"', at);
+      names.push_back(json.substr(at, end - at));
+    }
+    return names;
+  }
 
-TEST(ObsTraceSink, TracingDoesNotPerturbWorkloadResults) {
-  obs::TraceSink& sink = obs::TraceSink::instance();
-  sink.configure(/*ring_capacity=*/4096, /*sample_stride=*/1, "");
-  auto tm = workload::make_tm("tl2", 64);
+  static std::uint64_t count_aborts(const std::vector<std::string>& names) {
+    std::uint64_t n = 0;
+    for (const std::string& name : names) n += name.rfind("abort:", 0) == 0;
+    return n;
+  }
+
+  std::string path_;
+};
+
+// A contended 4 x 500-transaction run: few enough attempts that no
+// worker's span ring (or the document's share of a worker index)
+// overflows.
+workload::RunResult contended_run(const char* backend, std::uint64_t seed) {
+  auto tm = workload::make_tm(backend, 64);
   workload::WorkloadConfig config;
   config.threads = 4;
   config.tx_per_thread = 500;
   config.ops_per_tx = 4;
   config.write_fraction = 0.5;
-  config.seed = 99;
+  config.hot_op_fraction = 0.25;
+  config.hot_set_size = 8;
+  config.seed = seed;
   const workload::RunResult r = workload::run_workload(*tm, config);
-  EXPECT_EQ(r.committed, 2000u);
-  EXPECT_TRUE(r.tm_stats.abort_reasons_consistent());
+  EXPECT_EQ(r.committed, 2000u) << backend;
+  EXPECT_TRUE(r.tm_stats.abort_reasons_consistent()) << backend;
+  return r;
+}
+
+TEST_F(ObsRunTrace, TracedRunAddsOneSpanPerAttempt) {
+  // The document accumulates across the process, so each run is measured
+  // by what it adds to the file; the first run brings the file up to date.
+  contended_run("tl2", 1);
+  std::set<std::string> known = {"commit"};
+  for (std::size_t i = 0; i < obs::kNumAbortReasons; ++i) {
+    known.insert(std::string("abort:") + obs::abort_reason_name(i));
+  }
+  for (std::uint64_t seed : {2, 3}) {
+    const std::vector<std::string> before = span_names();
+    const workload::RunResult r = contended_run("tl2", seed);
+    const std::vector<std::string> after = span_names();
 #if OFTM_OBS
-  // The driver recorded one span per attempt on the sampled stride.
-  EXPECT_GE(sink.snapshot().size() + sink.dropped(), 2000u);
+    EXPECT_EQ(after.size() - before.size(), r.committed + r.aborted_attempts);
+    EXPECT_EQ(count_aborts(after) - count_aborts(before), r.aborted_attempts);
+    for (const std::string& name : after) {
+      EXPECT_EQ(known.count(name), 1u) << name;
+    }
+#else
+    EXPECT_FALSE(file_exists()) << "the gate must compile tracing away";
+#endif
+  }
+}
+
+TEST_F(ObsRunTrace, TwoRunsReachTheOneDocument) {
+  const workload::RunResult first = contended_run("tl2", 4);
+  const std::size_t after_first = span_names().size();
+  const workload::RunResult second = contended_run("norec", 5);
+  const std::string json = file();
+#if OFTM_OBS
+  EXPECT_GE(after_first, first.committed + first.aborted_attempts);
+  EXPECT_EQ(span_names().size() - after_first,
+            second.committed + second.aborted_attempts);
+  EXPECT_NE(json.find("\"backend\":\"tl2\""), std::string::npos);
+  EXPECT_NE(json.find("\"backend\":\"norec\""), std::string::npos);
+#else
+  EXPECT_EQ(after_first, 0u);
+  EXPECT_FALSE(file_exists()) << "the gate must compile tracing away";
+#endif
+}
+
+TEST_F(ObsRunTrace, WritesChromeTraceJson) {
+  contended_run("tl2", 6);
+#if OFTM_OBS
+  const std::string json = file();
+  EXPECT_EQ(json.rfind("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[", 0),
+            0u);
+  EXPECT_NE(json.find("\"name\":\"commit\""), std::string::npos);
+  EXPECT_NE(json.find("\"cat\":\"tx\",\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"tx\":"), std::string::npos);
+  EXPECT_NE(json.find(",\"attempt\":"), std::string::npos);
+  EXPECT_NE(json.find("\"backend\":\"tl2\""), std::string::npos);
+  // Timestamps are rebased: the first span starts at 0.
+  const std::size_t ts = json.find("\"ts\":");
+  ASSERT_NE(ts, std::string::npos);
+  EXPECT_EQ(ts, json.find("\"ts\":0.000,"));
+  // Balanced object: starts with '{' and the last non-space is '}'.
+  const std::size_t last = json.find_last_not_of(" \n");
+  ASSERT_NE(last, std::string::npos);
+  EXPECT_EQ(json[last], '}');
+#else
+  EXPECT_FALSE(file_exists()) << "the gate must compile tracing away";
 #endif
 }
 
