@@ -109,7 +109,6 @@ int selftest(const std::string& backend, int threads) {
 
   auto tm = oftm::workload::make_tm(backend, kTVars);
   oftm::history::Recorder recorder;
-  recorder.reserve(oftm::workload::estimated_history_events(config));
   oftm::history::RecordingTm recorded(*tm, recorder);
   const auto run = oftm::workload::run_workload(recorded, config);
 

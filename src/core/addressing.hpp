@@ -149,8 +149,8 @@ class AddressedTxn : public StatusTxn<Tm> {
 };
 
 // Boxed addressing: TVarId x is slot x, a cache line holding x's value
-// next to one metadata word (TL2's versioned lock; NOrec leaves it unused
-// in the slot's padding). Every access is one P::Atomic operation, so on
+// next to one metadata word (TL's and TL2's versioned lock; NOrec leaves
+// it unused in the slot's padding). Every access is one P::Atomic operation, so on
 // sim::SimPlatform each is a step the scheduler sees.
 template <typename P>
 class BoxedSlots {

@@ -181,7 +181,7 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
     // observing kActive proves the retire (if any) lands after the pin —
     // the new_val dereference below cannot race reclamation.
     if (tx.status() != core::TxStatus::kActive) {
-      release(tx);
+      on_forced_abort(tx);
       return std::nullopt;
     }
 
@@ -237,7 +237,7 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
     // Same reclamation argument as read(): the locator we are about to
     // store into cannot be reclaimed between this check and the store.
     if (tx.status() != core::TxStatus::kActive) {
-      release(tx);
+      on_forced_abort(tx);
       return false;
     }
 
@@ -491,19 +491,27 @@ class Dstm final : public core::PooledTm<Dstm<P>, P> {
     return tx.status() != core::TxStatus::kAborted;
   }
 
-  void abort_self(Txn& tx, obs::AbortReason reason,
-                  std::uint64_t key = obs::kNoKey) {
+  // The abort paths are cold: they stay out of the hot operation bodies.
+  [[gnu::cold]] void abort_self(Txn& tx, obs::AbortReason reason,
+                                std::uint64_t key = obs::kNoKey) {
     core::TxStatus expected = core::TxStatus::kActive;
-    tx.desc_->status.compare_exchange_strong(
-        expected, core::TxStatus::kAborted, std::memory_order_acq_rel);
-    this->count_forced_abort(tx, reason, key);  // not requested via tryA
-    release(tx);
+    if (tx.desc_->status.compare_exchange_strong(
+            expected, core::TxStatus::kAborted, std::memory_order_acq_rel)) {
+      this->count_forced_abort(tx, reason, key);  // not requested via tryA
+      release(tx);
+    } else {
+      on_forced_abort(tx, key);  // another process aborted us first
+    }
   }
 
-  // Our status CAS was beaten by another process (a contention-manager
-  // kill, or a visible-reads sweep): account the forced abort.
-  void on_forced_abort(Txn& tx, std::uint64_t key = obs::kNoKey) {
-    this->count_forced_abort(tx, obs::AbortReason::kCmKill, key);
+  // Another process aborted us (a contention-manager kill, or a
+  // visible-reads sweep) and the owner learns it here: count a cm_kill.
+  // Only a transaction still holding its epoch pin is counted; release()
+  // drops the pin on every completion path, so each transaction is counted
+  // at most once, and a committed one never.
+  [[gnu::cold]] void on_forced_abort(Txn& tx,
+                                     std::uint64_t key = obs::kNoKey) {
+    if (tx.pin_) this->count_forced_abort(tx, obs::AbortReason::kCmKill, key);
     release(tx);
   }
 

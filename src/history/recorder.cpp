@@ -1,10 +1,10 @@
 #include "history/recorder.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <map>
 #include <unordered_map>
+#include <utility>
 
 #include "runtime/parallel.hpp"
 #include "runtime/thread_registry.hpp"
@@ -13,40 +13,24 @@ namespace oftm::history {
 
 std::uint64_t Recorder::record(Event e) {
   std::scoped_lock lk(mu_);
+  if (tail_.size() == tail_.capacity()) {
+    if (!tail_.empty()) full_.push_back(std::exchange(tail_, {}));
+    tail_.reserve(kChunkEvents);
+  }
   e.seq = next_seq_++;
-  events_.push_back(e);
+  tail_.push_back(e);
   return e.seq;
-}
-
-void Recorder::reserve(std::size_t events) {
-  std::scoped_lock lk(mu_);
-  events_.reserve(events);
-  reserved_ = std::max(reserved_, events);
-}
-
-std::size_t Recorder::size() const {
-  std::scoped_lock lk(mu_);
-  return events_.size();
-}
-
-std::size_t Recorder::reserved() const {
-  std::scoped_lock lk(mu_);
-  return reserved_;
 }
 
 std::vector<Event> Recorder::events() const {
   std::scoped_lock lk(mu_);
-  std::vector<Event> out = events_;
-  // record() assigns strictly increasing seqs under the lock, so the log is
-  // already sorted; the sort below only ever pays on an already-sorted
-  // input (is_sorted guard keeps the large-history path O(n)).
-  if (!std::is_sorted(out.begin(), out.end(), [](const Event& a,
-                                                 const Event& b) {
-        return a.seq < b.seq;
-      })) {
-    std::sort(out.begin(), out.end(),
-              [](const Event& a, const Event& b) { return a.seq < b.seq; });
+  // record() appends in seq order under the lock, one event per seq.
+  std::vector<Event> out;
+  out.reserve(next_seq_ - 1);
+  for (const std::vector<Event>& chunk : full_) {
+    out.insert(out.end(), chunk.begin(), chunk.end());
   }
+  out.insert(out.end(), tail_.begin(), tail_.end());
   return out;
 }
 
@@ -152,7 +136,8 @@ std::vector<TxRecord> Recorder::transactions(const std::vector<Event>& evs,
 
 void Recorder::clear() {
   std::scoped_lock lk(mu_);
-  events_.clear();
+  full_.clear();
+  tail_.clear();
   next_seq_ = 1;
 }
 

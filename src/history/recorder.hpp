@@ -4,7 +4,9 @@
 //
 // The recorder is only active in tests and checking runs; benchmark runs
 // use the backends directly (the global sequence counter is itself a shared
-// hot spot — deliberately, measurement fidelity beats speed here).
+// hot spot — deliberately, measurement fidelity beats speed here). The log
+// grows in fixed-size chunks, so a run of any length records without a
+// size hint and without ever copying a recorded event.
 #pragma once
 
 #include <memory>
@@ -19,23 +21,12 @@ namespace oftm::history {
 
 class Recorder {
  public:
+  // Events per chunk of the log. A full chunk stays where it is; the next
+  // event opens a new one.
+  static constexpr std::size_t kChunkEvents = std::size_t{1} << 20;
+
   // Thread-safe event append with a fresh global sequence number.
   std::uint64_t record(Event e);
-
-  // Pre-size the event log. Large-history (checked-stress) runs reserve
-  // up-front — workload::estimated_history_events gives the bound — so
-  // recording overhead stays flat instead of paying vector regrowth (and
-  // the attendant copy stalls under the recorder lock) mid-run.
-  void reserve(std::size_t events);
-
-  // Number of events recorded so far.
-  std::size_t size() const;
-
-  // High-water reserve() request (0 when never called). Checked-stress
-  // tiers assert size() <= reserved() so pre-sizing drift — an estimator
-  // underestimate forcing mid-run reallocation under the recorder lock —
-  // fails loudly instead of silently costing copy stalls.
-  std::size_t reserved() const;
 
   // Snapshot of all events, sorted by seq.
   std::vector<Event> events() const;
@@ -67,10 +58,15 @@ class Recorder {
   std::string format() const;
 
  private:
+  // The log in seq order: the full chunks, then the tail being filled.
+  // Each chunk is reserved at kChunkEvents and only appended to, so growing
+  // the log neither copies nor constructs events. The tail's header lives
+  // here beside the lock rather than in the heap array of chunks, which
+  // spares every append a cache miss under the lock.
   mutable std::mutex mu_;
-  std::vector<Event> events_;
+  std::vector<Event> tail_;
   std::uint64_t next_seq_ = 1;
-  std::size_t reserved_ = 0;
+  std::vector<std::vector<Event>> full_;
 };
 
 // TransactionalMemory decorator: forwards to `inner` and records a

@@ -16,15 +16,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/addressing.hpp"
 #include "core/platform.hpp"
 #include "core/tm.hpp"
 #include "lock/versioned_lock.hpp"
-#include "runtime/assert.hpp"
-#include "runtime/cacheline.hpp"
 
 namespace oftm::lock {
 
@@ -34,11 +32,12 @@ struct TlOptions {
   int patience = 64;
 };
 
+// A t-variable's lock word is its boxed slot's metadata word, on the same
+// cache line as its value (core::BoxedSlots, shared with boxed TL2 and
+// NOrec).
 template <typename P>
 class Tl final : public core::PooledTm<Tl<P>, P> {
   using Base = core::PooledTm<Tl, P>;
-  template <typename T>
-  using Atomic = typename P::template Atomic<T>;
 
  public:
   class Txn final : public core::StatusTxn<Base> {
@@ -59,15 +58,13 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
   };
 
   explicit Tl(std::size_t num_tvars, TlOptions options = {})
-      : options_(options), num_tvars_(num_tvars) {
-    slots_ = std::make_unique<Slot[]>(num_tvars);
-  }
+      : options_(options), mem_(num_tvars) {}
 
   std::optional<core::Value> read(core::Transaction& t,
                                   core::TVarId x) override {
     auto& tx = this->txn_cast(t);
     this->stats_of(tx).reads.add();
-    OFTM_ASSERT(x < num_tvars_);
+    auto& lock = mem_.meta(mem_.loc(x));
     if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
 
     {
@@ -78,14 +75,13 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
     }
 
     typename P::Backoff backoff;
-    Slot& s = slots_[x];
     for (int spin = 0;; ++spin) {
-      const std::uint64_t w1 = s.lock.load(std::memory_order_acquire);
+      const std::uint64_t w1 = lock.load(std::memory_order_acquire);
       if (!LockWord::locked(w1)) {
-        const core::Value v = s.value.load(std::memory_order_relaxed);
+        const core::Value v = mem_.load(x, std::memory_order_relaxed);
         // acquire fence via re-load: value is only valid if the lock word
         // did not move underneath us (seqlock pattern).
-        const std::uint64_t w2 = s.lock.load(std::memory_order_acquire);
+        const std::uint64_t w2 = lock.load(std::memory_order_acquire);
         if (w1 == w2) {
           bool known = false;
           for (const auto& r : tx.reads_) {
@@ -124,7 +120,7 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
   bool write(core::Transaction& t, core::TVarId x, core::Value v) override {
     auto& tx = this->txn_cast(t);
     this->stats_of(tx).writes.add();
-    OFTM_ASSERT(x < num_tvars_);
+    auto& lock = mem_.meta(mem_.loc(x));
     if (tx.status_ != core::TxStatus::kActive) return false;
 
     for (auto& w : tx.writes_) {
@@ -135,20 +131,19 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
     }
 
     typename P::Backoff backoff;
-    Slot& s = slots_[x];
     OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kCommitLock);
     for (int spin = 0;; ++spin) {
-      std::uint64_t w1 = s.lock.load(std::memory_order_acquire);
+      std::uint64_t w1 = lock.load(std::memory_order_acquire);
       if (!LockWord::locked(w1)) {
         const std::uint64_t locked =
             LockWord::pack(LockWord::version(w1), true);
-        if (s.lock.compare_exchange_strong(w1, locked,
-                                           std::memory_order_acq_rel)) {
+        if (lock.compare_exchange_strong(w1, locked,
+                                         std::memory_order_acq_rel)) {
           // Encounter-time read validation: if we read x earlier, the
           // version must not have moved.
           for (const auto& r : tx.reads_) {
             if (r.x == x && r.version != LockWord::version(w1)) {
-              s.lock.store(w1, std::memory_order_release);  // undo lock
+              lock.store(w1, std::memory_order_release);  // undo lock
               rollback_abort(tx, obs::AbortReason::kReadValidation, x);
               return false;
             }
@@ -182,10 +177,9 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
     {
       OFTM_OBS_PHASE(this->stats_of(tx).phases, obs::Phase::kWriteBack);
       for (const auto& w : tx.writes_) {
-        Slot& s = slots_[w.x];
-        s.value.store(w.value, std::memory_order_relaxed);
-        s.lock.store(LockWord::pack(w.base_version + 1, false),
-                     std::memory_order_release);
+        mem_.store(w.x, w.value, std::memory_order_relaxed);
+        mem_.meta(w.x).store(LockWord::pack(w.base_version + 1, false),
+                             std::memory_order_release);
       }
     }
     tx.status_ = core::TxStatus::kCommitted;
@@ -200,21 +194,16 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
     this->count_requested_abort(tx);
   }
 
-  std::size_t num_tvars() const override { return num_tvars_; }
+  std::size_t num_tvars() const override { return mem_.num_tvars(); }
 
   core::Value read_quiescent(core::TVarId x) const override {
-    return slots_[x].value.load(std::memory_order_acquire);
+    return mem_.load(x, std::memory_order_acquire);
   }
 
   std::string name() const override { return "tl"; }
 
  private:
   friend Base;
-
-  struct alignas(runtime::kCacheLineSize) Slot {
-    Atomic<std::uint64_t> lock{LockWord::pack(0, false)};
-    Atomic<core::Value> value{0};
-  };
 
   void prepare(Txn& tx, core::TxId id) {
     tx.id_ = id;
@@ -228,8 +217,8 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
   void finish(Txn& tx) noexcept {
     if (tx.status_ != core::TxStatus::kActive) return;
     for (const auto& w : tx.writes_) {
-      slots_[w.x].lock.store(LockWord::pack(w.base_version, false),
-                             std::memory_order_release);
+      mem_.meta(w.x).store(LockWord::pack(w.base_version, false),
+                           std::memory_order_release);
     }
     tx.writes_.clear();
     tx.status_ = core::TxStatus::kAborted;
@@ -247,7 +236,7 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
         }
       }
       if (own) continue;
-      const std::uint64_t w = slots_[r.x].lock.load(std::memory_order_acquire);
+      const std::uint64_t w = mem_.meta(r.x).load(std::memory_order_acquire);
       if (LockWord::locked(w) || LockWord::version(w) != r.version) {
         return false;
       }
@@ -262,8 +251,7 @@ class Tl final : public core::PooledTm<Tl<P>, P> {
   }
 
   const TlOptions options_;
-  const std::size_t num_tvars_;
-  std::unique_ptr<Slot[]> slots_;
+  core::BoxedSlots<P> mem_;
 };
 
 using HwTl = Tl<core::HwPlatform>;

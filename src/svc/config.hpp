@@ -96,51 +96,6 @@ struct ServiceConfig {
   }
 };
 
-// Upper bound on ONE shard's recorded history length when every shard TM
-// is wrapped in a history::RecordingTm (the checked-stress harness hands
-// this to Recorder::reserve; the tier asserts size() <= reserved()).
-//
-// records_container_ops distinguishes the memory models: boxed recipes
-// record every container t-var access (including full per-shard table
-// scans), region recipes record only the scratch-projection ops the
-// checked-stress hook injects (word-tier container traffic forwards
-// unrecorded). Per attempt a participating shard records invoke/response
-// pairs for each op plus the tryC pair; the constants below are ceilings
-// per op class, scaled by expected shard participation (point ops touch 1
-// shard, transfers 2, scans all), then by hash-partition skew and an
-// abort-retry slack covering 2PC busy-loops under the default zipf skew.
-inline std::size_t estimated_shard_history_events(
-    const ServiceConfig& cfg, bool records_container_ops) {
-  const double total_ops = static_cast<double>(cfg.clients) *
-                           static_cast<double>(cfg.ops_per_client);
-  const double shards = static_cast<double>(cfg.num_shards);
-  // Scratch-projection hook (3 ops) + tryC: recorded on every attempt of
-  // every service transaction, both memory models.
-  const double base = 3 * 2 + 2;
-  // Container ceilings per participating shard, boxed recipes only:
-  // point get/put and a transfer leg stay single-digit accesses; index
-  // churn walks the sorted index; a scan reads the shard's whole balance
-  // table plus index.
-  const double keys_per_shard =
-      static_cast<double>(cfg.per_shard_key_bound());
-  const double point = base + (records_container_ops ? 24 : 0);
-  const double churn = base + (records_container_ops ? 64 : 0);
-  const double scan =
-      base + (records_container_ops ? 2 * keys_per_shard + 32 : 0);
-  const double point_fraction =
-      1.0 - cfg.transfer_fraction - cfg.scan_fraction - cfg.churn_fraction;
-  // Expected recorded events per client op, summed over ALL shards.
-  const double per_op = point_fraction * point +
-                        cfg.transfer_fraction * 2 * point +
-                        cfg.churn_fraction * churn +
-                        cfg.scan_fraction * shards * scan;
-  const double skew_slack = 1.5;   // hash-partition imbalance
-  const double abort_slack = 2.0;  // retried attempts per committed op
-  return static_cast<std::size_t>(total_ops * per_op / shards * skew_slack *
-                                  (1.0 + abort_slack)) +
-         4096;
-}
-
 // Outcome of a 2PC prepare (and of the whole transfer, whose verdict is
 // the logical AND of its participants' votes).
 enum class Vote {

@@ -57,26 +57,6 @@ void pregenerate_specs(WorkerArena& arena, const WorkloadConfig& config,
 
 }  // namespace detail
 
-std::size_t estimated_history_events(const WorkloadConfig& config,
-                                     double abort_slack) {
-  if (abort_slack < 0) {
-    // Contention-derived slack: uncontended runs rarely exceed half an
-    // aborted attempt per commit, but a hot-set overlay (every worker
-    // funnelled into a few t-variables) or a zipf pattern pushes retry
-    // rates past one abort per commit on the optimistic backends.
-    abort_slack = 0.5 + 4.0 * config.hot_op_fraction +
-                  (config.pattern == AccessPattern::kZipf ? 1.5 : 0.0);
-  }
-  const std::size_t per_attempt =
-      4 * static_cast<std::size_t>(config.ops_per_tx) + 2;
-  const double attempts =
-      static_cast<double>(config.threads) *
-      static_cast<double>(config.tx_per_thread) * (1.0 + abort_slack);
-  return static_cast<std::size_t>(attempts *
-                                  static_cast<double>(per_attempt)) +
-         1024;
-}
-
 PartitionBounds partition_bounds(std::size_t num_tvars, int threads,
                                  int thread) {
   OFTM_ASSERT(threads >= 1);

@@ -73,23 +73,6 @@ struct WorkloadConfig {
   bool pin_threads = true;
 };
 
-// Upper-bound estimate of the recorder events a count-mode run of `config`
-// produces: every op is at most a read+write invocation/response quartet,
-// plus the tryC pair, scaled by committed transactions and an abort-retry
-// slack. The checked-stress harness hands this to Recorder::reserve so the
-// event log never regrows mid-run (regrowth stalls every worker behind the
-// recorder lock and would bend the large-history timings). Duration-mode
-// (run_seconds > 0) runs have no a-priori bound; the estimate then covers
-// tx_per_thread as a best effort.
-//
-// abort_slack is extra attempts per committed transaction. The default
-// (negative = derive from config) scales with the configured contention:
-// the old flat 0.5 underestimated hot-set and zipf runs, whose retry rates
-// routinely exceed one abort per commit — the checked-stress tiers now
-// assert Recorder::size() <= Recorder::reserved() to keep this honest.
-std::size_t estimated_history_events(const WorkloadConfig& config,
-                                     double abort_slack = -1.0);
-
 // t-variable range [base, base + size) owned by thread t under
 // AccessPattern::kPartitioned. The remainder when n is not a multiple of
 // threads is folded into the last partition so the union always covers

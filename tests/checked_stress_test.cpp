@@ -4,10 +4,11 @@
 //   * Opacity at scale — every backend recipe, on both execution tiers,
 //     runs a 100,000-transaction workload under the history recorder; the
 //     recorded history must be well-formed and pass the strict opacity
-//     check (real-time edges + aborted readers). The recorder pre-reserves
-//     (workload::estimated_history_events) so recording overhead stays
-//     flat, and the single-hot-key case pins the checker's stress-scale
-//     budget: 100k transactions on one t-variable must check in <= 5 s.
+//     check (real-time edges + aborted readers). Recording overhead stays
+//     flat at this scale because the recorder's log grows in fixed chunks
+//     without copying. The single-hot-key case pins the checker's
+//     stress-scale budget: 100k transactions on one t-variable must check
+//     in <= 5 s.
 //
 //   * DAP witnesses at scale — simulated backends produce full low-level
 //     traces; dap::analyze must return complete conflict-graph witnesses

@@ -34,9 +34,9 @@ workload::WorkloadConfig million_config() {
   workload::WorkloadConfig config;
   config.threads = 4;
   config.tx_per_thread = 250'000;
-  // Two ops per transaction keeps the recorded log (and its up-front
-  // reserve) within the CI runner's memory while still producing a
-  // million-node serialization graph with real rf/ww/rw edge density.
+  // Two ops per transaction keeps the recorded log within the CI runner's
+  // memory while still producing a million-node serialization graph with
+  // real rf/ww/rw edge density.
   config.ops_per_tx = 2;
   config.write_fraction = 0.25;
   config.seed = 0x10E6;

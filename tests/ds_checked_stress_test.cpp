@@ -37,15 +37,6 @@ namespace {
 constexpr int kThreads = 4;
 constexpr int kTxnsPerThread = 25'000;  // 100k committed txns per test
 
-// Recorder reserve for one churn run: each attempt records the 3-op
-// scratch projection (2 reads + 1 write, invoke/response pairs) plus the
-// tryC pair = 8 events; container word traffic forwards unrecorded. The
-// scratch vars are deliberately contended (every transaction reads a
-// neighbour thread's), so budget 3 aborted attempts per commit — the
-// checked tier asserts size() <= reserved() to keep this honest.
-constexpr std::size_t kReservePerRun = static_cast<std::size_t>(kThreads) *
-                                       kTxnsPerThread * 8 * (1 + 3);
-
 // One churn transaction body per call: recorded scratch ops + an
 // unrecorded region container op, all in one transaction. `op` receives
 // the TxView and performs the container traffic.
@@ -76,11 +67,6 @@ void run_churn(core::TransactionalMemory& recorded, Op&& op) {
 
 void check_history(history::Recorder& recorder) {
   const auto events = recorder.events();
-  // Pre-sizing drift guard: kReservePerRun must cover the actual log, or
-  // recording paid regrowth stalls under the recorder lock mid-run.
-  EXPECT_LE(events.size(), recorder.reserved())
-      << "recorder outgrew its reserve: kReservePerRun underestimates "
-         "this churn configuration";
   ASSERT_EQ(history::Recorder::check_well_formed(events, /*threads=*/0), "");
   const auto txns = history::Recorder::transactions(events, /*threads=*/0);
   EXPECT_GE(txns.size(),
@@ -100,7 +86,6 @@ void run_list_churn(const std::string& backend) {
   auto tm = workload::make_tm_for_containers(backend, words);
   ASSERT_TRUE(tm->has_word_access());
   history::Recorder recorder;
-  recorder.reserve(kReservePerRun);
   history::RecordingTm recorded(*tm, recorder);
 
   TListSetT<core::RegionMemory> set(recorded, 0, kCap);
@@ -127,7 +112,6 @@ void run_map_churn(const std::string& backend) {
   auto tm = workload::make_tm_for_containers(backend, words);
   ASSERT_TRUE(tm->has_word_access());
   history::Recorder recorder;
-  recorder.reserve(kReservePerRun);
   history::RecordingTm recorded(*tm, recorder);
 
   THashMapT<core::RegionMemory> map(recorded, 0, kCap);

@@ -35,6 +35,40 @@ TEST(Dstm, WriterRevokesLiveWriter) {
   EXPECT_GE(tm->stats().victim_kills, 1u);
 }
 
+TEST(Dstm, VictimCountsTheKillOnceWhereItNoticesIt) {
+  // A killed transaction learns of the kill at its next operation, whether
+  // a read, a write or tryC. That operation counts one cm_kill abort; the
+  // operations after it find the transaction over and count nothing, and
+  // neither does the committed killer.
+  for (int notice = 0; notice < 3; ++notice) {
+    auto tm = make();
+    auto victim = tm->begin();
+    ASSERT_TRUE(tm->write(*victim, 0, 11));
+    auto killer = tm->begin();
+    ASSERT_TRUE(tm->write(*killer, 0, 22));  // aggressive CM kills victim
+    ASSERT_TRUE(tm->try_commit(*killer));
+    EXPECT_FALSE(tm->read(*killer, 1).has_value());
+    EXPECT_EQ(tm->stats().aborts, 0u) << "the victim has not noticed yet";
+
+    switch (notice) {
+      case 0: EXPECT_FALSE(tm->read(*victim, 1).has_value()); break;
+      case 1: EXPECT_FALSE(tm->write(*victim, 1, 33)); break;
+      case 2: EXPECT_FALSE(tm->try_commit(*victim)); break;
+    }
+    EXPECT_FALSE(tm->read(*victim, 1).has_value());
+    EXPECT_FALSE(tm->write(*victim, 1, 33));
+    EXPECT_FALSE(tm->try_commit(*victim));
+
+    const runtime::TxStats s = tm->stats();
+    EXPECT_EQ(s.aborts, 1u) << "notice " << notice;
+    EXPECT_EQ(s.forced_aborts, 1u) << "notice " << notice;
+    EXPECT_EQ(s.abort_reason[static_cast<std::size_t>(
+                  obs::AbortReason::kCmKill)],
+              1u)
+        << "notice " << notice;
+  }
+}
+
 TEST(Dstm, ReaderRevokesLiveWriter) {
   // A reader meeting a live owner must resolve it (the paper: "Ti may have
   // to eventually abort Tk") — with the aggressive manager, immediately.

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "history/checker.hpp"
@@ -278,6 +279,47 @@ TEST(Recorder, DigestsTransactions) {
   EXPECT_FALSE(txns[1].forcefully_aborted());
   EXPECT_TRUE(txns[0].precedes(txns[1]) ||
               txns[0].last_seq > txns[1].first_seq);
+}
+
+// Four threads record past a chunk boundary. The snapshot holds every
+// event exactly once, numbered 1..n in order, with each thread's events in
+// its program order; clear() empties the log and restarts the numbering.
+TEST(Recorder, ChunkedLogKeepsEveryEventOnceInSeqOrder) {
+  constexpr int kThreads = 4;
+  constexpr std::size_t kPerThread = Recorder::kChunkEvents / kThreads + 1000;
+  Recorder rec;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&rec, t] {
+      Event e;
+      e.pid = t;
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        e.tx = i;
+        rec.record(e);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const std::vector<Event> events = rec.events();
+  ASSERT_EQ(events.size(), kThreads * kPerThread);
+  ASSERT_GT(events.size(), Recorder::kChunkEvents);
+  // The next tx each pid must show: a lost, repeated or reordered event
+  // breaks its pid's run.
+  std::vector<core::TxId> next(kThreads, 0);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[i];
+    ASSERT_EQ(e.seq, i + 1);
+    ASSERT_EQ(e.tx, next[static_cast<std::size_t>(e.pid)]++)
+        << "pid " << e.pid << " at seq " << e.seq;
+  }
+  for (const core::TxId n : next) EXPECT_EQ(n, kPerThread);
+
+  rec.clear();
+  EXPECT_TRUE(rec.events().empty());
+  EXPECT_EQ(rec.record(Event{}), 1u);
+  ASSERT_EQ(rec.events().size(), 1u);
+  EXPECT_EQ(rec.events().front().seq, 1u);
 }
 
 // Every field of every digested record, in order: equal strings mean

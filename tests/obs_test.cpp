@@ -261,6 +261,8 @@ TEST_P(ObsReconciliationTest, AbortReasonsSumToAbortsUnderContention) {
   EXPECT_TRUE(s.abort_reasons_consistent())
       << "sum(abort_reason)=" << s.abort_reason_total()
       << " aborts=" << s.aborts << " for " << GetParam();
+  // Every attempt the driver saw fail is one abort the TM counted.
+  EXPECT_EQ(r.aborted_attempts, s.aborts) << GetParam();
   EXPECT_EQ(r.committed, 1600u);
 }
 

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "core/memory_model.hpp"
@@ -88,10 +87,6 @@ template <typename Model>
 void run_checked(const std::string& backend, std::uint64_t ops_per_client) {
   const ServiceConfig cfg = checked_config(backend, ops_per_client);
   const auto scratch_base = static_cast<core::TVarId>(shard_tvar_words(cfg));
-  // Boxed recipes record container traffic; region container words forward
-  // unrecorded (only the scratch projection lands in the history).
-  const std::size_t reserve_per_shard = estimated_shard_history_events(
-      cfg, /*records_container_ops=*/std::is_same_v<Model, core::BoxedMemory>);
 
   auto inner = make_service_tms(cfg);
   std::vector<std::unique_ptr<history::Recorder>> recorders;
@@ -99,7 +94,6 @@ void run_checked(const std::string& backend, std::uint64_t ops_per_client) {
   std::vector<core::TransactionalMemory*> raw;
   for (auto& tm : inner) {
     recorders.push_back(std::make_unique<history::Recorder>());
-    recorders.back()->reserve(reserve_per_shard);
     recorded.push_back(
         std::make_unique<history::RecordingTm>(*tm, *recorders.back()));
     raw.push_back(recorded.back().get());
@@ -137,15 +131,8 @@ void run_checked(const std::string& backend, std::uint64_t ops_per_client) {
   EXPECT_TRUE(service.audit(&why)) << why;
 
   for (int i = 0; i < cfg.num_shards; ++i) {
-    history::Recorder& recorder = *recorders[static_cast<std::size_t>(i)];
-    const auto events = recorder.events();
-    // Pre-sizing drift guard: the estimator must cover what the shard
-    // actually recorded, or recording paid regrowth stalls mid-run.
-    EXPECT_LE(events.size(), recorder.reserved())
-        << "shard " << i
-        << " outgrew its reserve: estimated_shard_history_events "
-           "underestimates this configuration";
-    const auto projected = project_scratch(events, scratch_base);
+    const auto projected = project_scratch(
+        recorders[static_cast<std::size_t>(i)]->events(), scratch_base);
     ASSERT_EQ(history::Recorder::check_well_formed(projected, /*threads=*/0),
               "")
         << "shard " << i;

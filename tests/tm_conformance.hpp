@@ -204,12 +204,10 @@ class TmConformanceTest : public ::testing::TestWithParam<std::string> {
 // ---------------------------------------------------------------------------
 // Large-history (checked-stress) mode: record a full workload run, check
 // well-formedness and opacity, and hand back the verdict plus the checking
-// wall time. The recorder is pre-reserved from the workload configuration
-// so recording overhead stays flat at 100k+-transaction scale — regrowth
-// of the event log would serialize every worker behind the recorder lock.
-// Used by tests/checked_stress_test.cpp over every backend recipe on both
-// execution tiers; the DAP side of the tier (full conflict-graph witnesses
-// on simulated backends) lives in the same test file.
+// wall time. Used by tests/checked_stress_test.cpp over every backend
+// recipe on both execution tiers; the DAP side of the tier (full
+// conflict-graph witnesses on simulated backends) lives in the same test
+// file.
 
 struct CheckedStressOutcome {
   workload::RunResult run;
@@ -225,7 +223,6 @@ inline CheckedStressOutcome run_checked_stress(
     int check_threads = 0) {
   CheckedStressOutcome out;
   history::Recorder recorder;
-  recorder.reserve(workload::estimated_history_events(config));
   history::RecordingTm recorded(tm, recorder);
   out.run = workload::run_workload(recorded, config);
   // One snapshot of the (multi-million-event) log, shared by the
@@ -233,12 +230,6 @@ inline CheckedStressOutcome run_checked_stress(
   // convenience methods would copy it twice.
   const auto events = recorder.events();
   out.events = events.size();
-  // Pre-sizing drift guard: an estimated_history_events underestimate
-  // means the event log regrew mid-run, serializing every worker behind
-  // the recorder lock. Fail loudly instead of silently costing stalls.
-  EXPECT_LE(events.size(), recorder.reserved())
-      << "recorder outgrew its reserve: estimated_history_events "
-         "underestimates this configuration";
   // Digestion and the check both run on the parallel paths (0 = one worker
   // per hardware thread) — results are bit-identical to sequential for
   // every thread count, so the verdicts the tier pins are unchanged.

@@ -61,6 +61,8 @@ TEST_P(TmConformanceTest, AbortEventIsTerminal) {
     tm_->try_abort(*txn);  // tryA is idempotent on an aborted transaction
     EXPECT_EQ(txn->status(), TxStatus::kAborted);
   }
+  // The transaction aborted once, so it is counted once.
+  EXPECT_EQ(tm_->stats().aborts, 1u);
 }
 
 TEST_P(TmConformanceTest, PostAbortWritesAreNeverVisible) {
